@@ -77,8 +77,8 @@ def girsanov_log_weights(gauss: np.ndarray, curve: Curve, params: ModelParams,
     return stoch + comp, stoch, np.full_like(stoch, comp)
 
 
-def girsanov_weight(x_path: Path, curve: Curve, params: ModelParams,
-                    T: float | None = None) -> GirsanovWeight:
+def girsanov_weight(x_path: Path, curve: Curve,
+                    params: ModelParams) -> GirsanovWeight:
     """Density dQ/dP along one X-frame path up to its horizon."""
     _check_path(x_path)
     logs, stoch, comp = girsanov_log_weights(x_path.gauss[None, :], curve,

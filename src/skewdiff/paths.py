@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BZero, MissingDsrC, SchemeDiverged, WrongFrame
 from .model import Curve, ModelParams
-from .rng import derive_seed, path_generator
+from .rng import derive_seeds, path_generator, path_states
 
 __all__ = [
     "Frame",
@@ -141,6 +141,8 @@ class PathBatch:
     gauss: np.ndarray | None
     reflection_counts: np.ndarray
     lower_violations: np.ndarray
+    # mirror-step events of the whole chunk, when the run collects them
+    events: ReflectionLog | None = None
 
 
 def _curve_tables(params: ModelParams, curve: Curve, grid: GridSpec, frame: Frame):
@@ -155,6 +157,16 @@ def _curve_tables(params: ModelParams, curve: Curve, grid: GridSpec, frame: Fram
     low = -gam
     skew_on = bar > low  # the indicator {lambda > 0}
     return bar, low, gam, skew_on
+
+
+def _draw_rows(m: int, n: int) -> np.ndarray:
+    """Uninitialised m x n array, one path per row.
+
+    The step loop reads it a column at a time.  Rows are padded by one
+    cache line: with a power-of-two row length the m elements of a column
+    fall into a handful of cache sets and evict each other every step.
+    """
+    return np.empty((m, n + 8))[:, :n]
 
 
 def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
@@ -173,22 +185,23 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
             raise MissingDsrC("simulate_dsr_path requires params.dsr_c")
         c_const = params.dsr_c
 
-    seeds = np.array([derive_seed(root_seed, start + i) for i in range(m)],
-                     dtype=np.uint64)
-    gauss = np.empty((m, n))
-    unif = np.empty((m, n))
-    for i in range(m):
-        gen = np.random.Generator(np.random.PCG64(int(seeds[i])))
-        gauss[i] = gen.standard_normal(n)
-        unif[i] = gen.random(n)
-    # step-major copies, so step k reads contiguous rows
-    unif_t = np.ascontiguousarray(unif.T)
-    del unif
-    gauss_t = np.ascontiguousarray(gauss.T)
-    if not keep_gauss:
-        gauss = None
-
+    seeds = derive_seeds(root_seed, start, m)
     bar, low, gam, skew_on = _curve_tables(params, curve, grid, frame)
+    # One m x n array of normals, plus one of uniforms only when the barrier
+    # is live somewhere on the grid (the mirror step is their only reader).
+    # A path's uniforms follow its normals in its stream, so skipping them
+    # moves no other number.  Each path's PCG64 state is set directly on one
+    # bit generator (see rng.path_states) instead of building one per path.
+    live = bool(skew_on.any())
+    gauss = _draw_rows(m, n)
+    unif = _draw_rows(m, n) if live else None
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for i, state in enumerate(path_states(root_seed, start, m)):
+        bitgen.state = state
+        gen.standard_normal(out=gauss[i])
+        if live:
+            gen.random(out=unif[i])
 
     c_drift = sig * sig / 8.0
     c_diff = 0.5 * sig * math.sqrt(dt)
@@ -218,7 +231,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
             denom = np.maximum(y + gk, _DRIFT_FLOOR)
             u = y + c_drift * ((delta - 1.0) / denom - b * y - c_const) * dt
 
-        v = u + c_diff * gauss_t[k]
+        v = u + c_diff * gauss[:, k]
 
         if skew_on[k]:
             bk = bar[k]
@@ -227,7 +240,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
             active = (du * dv < 0.0) | (np.minimum(np.abs(du), np.abs(dv)) < band)
             idx = np.nonzero(active)[0]
             if idx.size:
-                side = np.where(unif_t[k][idx] < p, 1.0, -1.0)
+                side = np.where(unif[idx, k] < p, 1.0, -1.0)
                 adv = np.abs(dv[idx])
                 if collect_events:
                     ev_steps.append(np.full(idx.size, k, dtype=np.int64))
@@ -264,19 +277,18 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
         terminals = y.copy()
         out_frame = frame
 
-    batch = PathBatch(grid=grid, frame=out_frame, params=params,
-                      start_index=start, seeds=seeds, terminals=terminals,
-                      values=vals, gauss=gauss if keep_gauss else None,
-                      reflection_counts=refl_counts,
-                      lower_violations=viol_counts)
+    events = None
     if collect_events:
+        events = ReflectionLog()
         if ev_steps:
-            batch.events = ReflectionLog(np.concatenate(ev_steps),
-                                         np.concatenate(ev_sides),
-                                         np.concatenate(ev_over))
-        else:
-            batch.events = ReflectionLog()
-    return batch
+            events = ReflectionLog(np.concatenate(ev_steps),
+                                   np.concatenate(ev_sides),
+                                   np.concatenate(ev_over))
+    return PathBatch(grid=grid, frame=out_frame, params=params,
+                     start_index=start, seeds=seeds, terminals=terminals,
+                     values=vals, gauss=gauss if keep_gauss else None,
+                     reflection_counts=refl_counts,
+                     lower_violations=viol_counts, events=events)
 
 
 def _single(params, curve, frame, x0, grid, scheme, seed, dsr=False) -> Path:
@@ -335,10 +347,17 @@ def square_path(y_path: Path) -> Path:
 
 def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                     grid: GridSpec, n_paths: int, seed: int,
-                    scheme: SchemeConfig | None = None, chunk_size: int = 2048,
+                    scheme: SchemeConfig | None = None, chunk_size: int = 8192,
                     keep_values: bool = False, keep_gauss: bool = False,
                     dsr: bool = False) -> Iterator[PathBatch]:
-    """Yield path batches in fixed index order (chunking-invariant streams)."""
+    """Yield path batches in fixed index order (chunking-invariant streams).
+
+    A chunk of m paths and n steps holds one m x n float64 array of normals
+    (returned as ``gauss`` with ``keep_gauss``: a view with contiguous rows,
+    not a copy), plus one of uniforms when
+    the barrier is live somewhere on the grid; ``keep_values`` adds the
+    m x (n+1) trajectories.
+    """
     scheme = scheme or SchemeConfig()
     start = 0
     while start < n_paths:
@@ -352,13 +371,14 @@ def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 def simulate_terminals(params: ModelParams, curve: Curve, frame: Frame,
                        x0: float, grid: GridSpec, n_paths: int, seed: int,
                        scheme: SchemeConfig | None = None,
-                       chunk_size: int = 2048, dsr: bool = False,
+                       chunk_size: int = 8192, dsr: bool = False,
                        threads: int = 1) -> np.ndarray:
     """Terminal values of ``n_paths`` paths (memory-light batch run).
 
     Output is independent of ``threads`` and ``chunk_size``: every path's
     stream is a pure function of (seed, path index) and results are placed
-    by index.
+    by index.  Each running chunk holds one chunk_size x n_steps array of
+    draws, two when the barrier is live (see :func:`simulate_chunks`).
     """
     scheme = scheme or SchemeConfig()
     out = np.empty(n_paths)

@@ -3,14 +3,32 @@
 Path k of a batch draws from ``PCG64(derive_seed(root, k))``, so each path's
 stream depends only on (root seed, path index).  This keeps batched and
 parallel runs bit-identical regardless of chunking or thread count.
+
+Building one ``PCG64`` per path is slow (almost all of it numpy's
+``SeedSequence``), so the path engine does not: :func:`path_states`
+computes, for a whole chunk of paths at once, the state that
+``PCG64(derive_seed(root, k))`` starts in, and the engine assigns it to a
+single bit generator before drawing each path.  The streams are the same
+numbers either way.
 """
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
+_POOL = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def derive_seed(root: int, k: int) -> int:
@@ -27,3 +45,87 @@ def derive_seed(root: int, k: int) -> int:
 def path_generator(root: int, k: int) -> np.random.Generator:
     """Generator for path ``k`` under root seed ``root``."""
     return np.random.Generator(np.random.PCG64(derive_seed(root, k)))
+
+
+def derive_seeds(root: int, start: int, m: int) -> np.ndarray:
+    """``derive_seed(root, k)`` for k in [start, start + m), as uint64."""
+    k = np.arange(start + 1, start + m + 1, dtype=np.uint64)
+    # uint64 array arithmetic wraps modulo 2**64, as the masks above do
+    z = np.uint64(int(root) & _MASK64) + np.uint64(_GOLDEN) * k
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[tuple]:
+    """The data-independent multiplier sequence of SeedSequence's hash."""
+    out, h = [], init
+    for _ in range(n):
+        h2 = (h * mult) & 0xFFFFFFFF
+        out.append((np.uint32(h), np.uint32(h2)))
+        h = h2
+    return out
+
+
+# hashmix calls in mix_entropy: 4 to fill the pool, 4*3 to mix it
+_MIX_CONSTS = _hash_consts(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
+# generate_state(4, uint64) hashes 8 uint32 words
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    pre, post = consts
+    value = (value ^ pre) * post
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, uint64)`` for each uint64 seed.
+
+    Vectorized replica of numpy's pool mixing.  A seed's entropy is its
+    little-endian uint32 words (one word below 2**32); pool slots past the
+    entropy are hashed as 0, which is what a zero high word hashes to, so
+    both cases take the same arithmetic.  Returns an (m, 4) uint64 array.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    lo = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(lo)
+    consts = iter(_MIX_CONSTS)
+    pool = [_hashmix(word, next(consts)) for word in (lo, hi, zero, zero)]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst],
+                                   _hashmix(pool[i_src], next(consts)))
+    out = np.empty((seeds.size, 2 * _POOL), dtype=np.uint32)
+    for i, c in enumerate(_OUT_CONSTS):
+        out[:, i] = _hashmix(pool[i % _POOL], c)
+    return out.view("<u8").astype(np.uint64)
+
+
+def path_states(root: int, start: int, m: int) -> list[dict]:
+    """``PCG64(derive_seed(root, k)).state`` for k in [start, start + m).
+
+    PCG64 seeds from the first two words of ``generate_state(4, uint64)``
+    (initstate, high word first) and the last two (initseq): ``inc =
+    2*initseq + 1`` and ``state = ((inc + initstate)*MULT + inc) mod 2**128``.
+    """
+    words = seed_sequence_words(derive_seeds(root, start, m)).tolist()
+    out = []
+    for s0, s1, q0, q1 in words:
+        inc = (((q0 << 64) | q1) << 1 | 1) & _MASK128
+        state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
+        out.append({"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0})
+    return out

@@ -1,5 +1,6 @@
 """Path engine: positivity, determinism, weak-convergence and dump format."""
 
+import hashlib
 import io
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from skewdiff.errors import BZero, MissingDsrC, WrongFrame
-from skewdiff.model import builtin_curve, validate_params
+from skewdiff.model import builtin_curve, decompose_curve, validate_params
 from skewdiff.paths import (
     Frame,
     GridSpec,
@@ -16,6 +17,7 @@ from skewdiff.paths import (
     exact_besq_step,
     exact_cir_step,
     read_path_dump,
+    simulate_chunks,
     simulate_dsr_path,
     simulate_long_run_squared,
     simulate_paths,
@@ -25,11 +27,29 @@ from skewdiff.paths import (
     square_path,
     write_path_dump,
 )
-from skewdiff.rng import derive_seed, path_generator
+from skewdiff.rng import (
+    derive_seed,
+    derive_seeds,
+    path_generator,
+    path_states,
+    seed_sequence_words,
+)
 
 
 CONSTANT_ONE = builtin_curve("constant", 4.0, level=1.0)
 ZERO_CURVE = builtin_curve("constant", 4.0, level=0.0)
+# lambda(t) = max(0.25 - t, 0): the barrier is live on the first half of
+# [0, 0.5] only
+HALF_LIVE = decompose_curve(
+    lambda t: np.maximum(0.25 - np.asarray(t, dtype=float), 0.0),
+    lambda t: np.where(np.asarray(t, dtype=float) < 0.25, -1.0, 0.0), 4.0)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 class TestGridSpec:
@@ -71,6 +91,55 @@ class TestSeeding:
         a = path_generator(5, 3).standard_normal(4)
         b = path_generator(5, 3).standard_normal(4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("root", [0, 11, -1, 2 ** 63, 2 ** 64 - 1, 2 ** 70])
+    def test_path_states_match_pcg64(self, root):
+        for start, m in ((0, 40), (2 ** 40, 3)):
+            states = path_states(root, start, m)
+            seeds = derive_seeds(root, start, m)
+            for i in range(m):
+                assert int(seeds[i]) == derive_seed(root, start + i)
+                want = np.random.PCG64(derive_seed(root, start + i)).state
+                assert states[i] == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    def test_seed_sequence_replica(self, seed):
+        # seeds below 2**32 are one entropy word, the rest two
+        got = seed_sequence_words(np.array([seed], dtype=np.uint64))[0]
+        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert np.array_equal(got, want)
+
+    def test_draws_follow_path_generator(self):
+        grid = GridSpec(T=1.0, n_steps=32)
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        path = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=5)
+        assert np.array_equal(path.gauss,
+                              path_generator(5, 0).standard_normal(32))
+
+
+class TestGoldenStreams:
+    """Digests recorded with one PCG64 built per path; they pin every
+    stream, so a change to seeding or draw order shows here."""
+
+    def test_dsr_implicit_zero_barrier(self):
+        params = validate_params(2.0, 2.0, 0.0, 0.5, dsr_c=1.0)
+        z = simulate_terminals(params, ZERO_CURVE, Frame.Y, 1.0,
+                               GridSpec(1.0, 64), 300, 7,
+                               SchemeConfig(drift_mode="implicit_sqrt_term"),
+                               chunk_size=128, dsr=True)
+        assert _digest(z) == ("913dfd4b419e4d03a1e7dbb61d93b938"
+                              "534851d5ae35f60877d19de619e3e804")
+
+    def test_x_frame_moving_barrier_with_draws(self):
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        curve = builtin_curve("linear", 1.0, intercept=0.5, slope=1.0)
+        arrays = []
+        for batch in simulate_chunks(params, curve, Frame.X, 0.5,
+                                     GridSpec(1.0, 64), 300, 19,
+                                     chunk_size=128, keep_gauss=True):
+            arrays += [batch.terminals, batch.gauss]
+        assert _digest(*arrays) == ("ca4f1c13582aa748fd9d181e0e98c327"
+                                    "473c9d121ab0a62bb92ee6f7255a9651")
 
 
 class TestYPath:
@@ -247,15 +316,20 @@ class TestDsrPath:
 
 class TestBatching:
     def test_terminals_invariant_to_chunking_and_threads(self):
+        # live, absent (no uniforms drawn) and partly live barriers; more
+        # paths than the default chunk, so the default splits too
         params = validate_params(2.0, 2.0, 1.0, 0.7)
-        grid = GridSpec(T=0.5, n_steps=128)
-        base = simulate_terminals(params, CONSTANT_ONE, Frame.Y, 1.0, grid,
-                                  700, 21, chunk_size=701)
-        for chunk, threads in ((64, 1), (137, 3), (700, 2)):
-            other = simulate_terminals(params, CONSTANT_ONE, Frame.Y, 1.0,
-                                       grid, 700, 21, chunk_size=chunk,
-                                       threads=threads)
-            assert np.array_equal(base, other)
+        grid = GridSpec(T=0.5, n_steps=32)
+        n = 8192 + 300
+        for curve in (CONSTANT_ONE, ZERO_CURVE, HALF_LIVE):
+            base = simulate_terminals(params, curve, Frame.Y, 1.0, grid,
+                                      n, 21, chunk_size=n + 1)
+            for chunk, threads in ((None, 1), (None, 2), (64, 1), (137, 3),
+                                   (n, 2)):
+                kw = {} if chunk is None else {"chunk_size": chunk}
+                other = simulate_terminals(params, curve, Frame.Y, 1.0,
+                                           grid, n, 21, threads=threads, **kw)
+                assert np.array_equal(base, other)
 
     def test_simulate_paths_matches_terminals(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
