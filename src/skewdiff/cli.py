@@ -79,19 +79,12 @@ def validate(config_path):
               help="Output directory (default: config output_dir or cwd).")
 def run(config_path, seed, threads, out_dir):
     """Run an experiment and write report.json plus plot-data CSVs."""
+    # config errors found while the experiment runs also exit 2
     try:
         config = _load_config(config_path)
         if seed is not None:
             config["seed"] = seed
-        n_threads = _resolve_threads(threads)
-        cfg = normalize_config(config)
-    except ConfigInvalid as exc:
-        click.echo(f"invalid config: {exc}", err=True)
-        sys.exit(2)
-
-    out = out_dir or cfg.get("output_dir") or "."
-    try:
-        bundle = run_experiment(config, threads=n_threads)
+        bundle = run_experiment(config, threads=_resolve_threads(threads))
     except ConfigInvalid as exc:
         click.echo(f"invalid config: {exc}", err=True)
         sys.exit(2)
@@ -99,6 +92,7 @@ def run(config_path, seed, threads, out_dir):
         click.echo(f"runtime failure: {exc}", err=True)
         sys.exit(3)
 
+    out = out_dir or config.get("output_dir") or "."
     os.makedirs(out, exist_ok=True)
     report = bundle["report"]
     with open(os.path.join(out, "report.json"), "w") as fh:

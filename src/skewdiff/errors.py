@@ -107,5 +107,5 @@ class ConfigInvalid(SkewDiffError):
     pass
 
 
-class ExperimentFailed(SkewDiffError):
-    pass
+class TruncationTooClose(ConfigInvalid, ValueError):
+    """The barrier comes too close to the PDE grid's truncation level."""

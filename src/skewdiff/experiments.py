@@ -60,6 +60,25 @@ EXPERIMENTS = [
     "regime-check",
 ]
 
+# checked on the config's own options; relations between options (x0 below
+# x_max, the barrier below the truncation level) are checked at run time
+OPTIONS_SCHEMAS = {
+    "pde-cross-check": {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {
+            "x_max": {"type": "number", "exclusiveMinimum": 0},
+            "n_x": {"type": "integer", "minimum": 200},
+            "n_t": {"type": "integer", "minimum": 1},
+            "x0_list": {"type": "array", "minItems": 1,
+                        "items": {"type": "number", "exclusiveMinimum": 0}},
+            "extra_tol": {"type": "number", "minimum": 0},
+            "max_refine_factor": {"type": "number", "minimum": 0},
+            "mc_band_width": {"type": "number", "minimum": 0},
+        },
+    },
+}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["experiment", "seed"],
@@ -98,6 +117,9 @@ CONFIG_SCHEMA = {
         "options": {"type": "object"},
         "output_dir": {"type": "string"},
     },
+    "allOf": [{"if": {"properties": {"experiment": {"const": name}}},
+               "then": {"properties": {"options": schema}}}
+              for name, schema in OPTIONS_SCHEMAS.items()],
 }
 
 _BASE_MODEL = {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.75, "dsr_c": None}
@@ -450,26 +472,30 @@ def _exp_girsanov_consistency(cfg, threads):
 def _exp_pde_cross_check(cfg, threads):
     params, curve, grid = _build(cfg)
     opts = cfg["options"]
+    x0_list = opts["x0_list"]
+    g1 = PdeGrid(x_max=float(opts["x_max"]), n_x=int(opts["n_x"]),
+                 n_t=int(opts["n_t"]))
+    if not max(x0_list) < g1.x_max:
+        raise ConfigInvalid("config error at options/x0_list: each x0 must "
+                            f"lie below x_max = {g1.x_max:g}")
     level_sq = float(curve.lam(0.0)) ** 2
     barrier_sq = lambda t: level_sq
     payoff = lambda x: np.minimum(x, 2.0)
-    pgrid = PdeGrid(x_max=float(opts["x_max"]), n_x=int(opts["n_x"]),
-                    n_t=int(opts["n_t"]))
+    # each grid is solved once: g1 and g2 give the compared values and their
+    # grid bias, and with g3 the refinement factor at the middle x0
+    solve = lambda g: solve_backward(params, barrier_sq, payoff, grid.T, g)
+    x_ref = float(x0_list[len(x0_list) // 2])
+    sol1, sol2 = solve(g1), solve(g1.refined())
+    u1, u2 = sol1.at(x_ref), sol2.at(x_ref)
+    u3 = solve(g1.refined().refined()).at(x_ref)
+    factor = abs(u3 - u2) / max(abs(u2 - u1), 1e-300)
+    max_factor = float(opts["max_refine_factor"])
     # crossing-only mirroring: the finite band is a local-time device and
     # adds O(band^3) drift near the barrier, visible in terminal laws
     scheme = SchemeConfig(band_width=float(opts.get("mc_band_width", 0.0)))
-    rows = compare_mc_pde(params, barrier_sq, payoff, grid.T,
-                          opts["x0_list"], curve, pgrid, int(cfg["n_paths"]),
-                          grid.n_steps, cfg["seed"],
+    rows = compare_mc_pde(params, payoff, grid.T, x0_list, curve, sol1, sol2,
+                          int(cfg["n_paths"]), grid.n_steps, cfg["seed"],
                           extra_tol=float(opts["extra_tol"]), scheme=scheme)
-    # refinement factor at the middle starting point
-    x_ref = float(opts["x0_list"][len(opts["x0_list"]) // 2])
-    g1, g2, g3 = pgrid, pgrid.refined(), pgrid.refined().refined()
-    u1 = solve_backward(params, barrier_sq, payoff, grid.T, g1).at(x_ref)
-    u2 = solve_backward(params, barrier_sq, payoff, grid.T, g2).at(x_ref)
-    u3 = solve_backward(params, barrier_sq, payoff, grid.T, g3).at(x_ref)
-    factor = abs(u3 - u2) / max(abs(u2 - u1), 1e-300)
-    max_factor = float(opts["max_refine_factor"])
 
     metrics = {}
     for row in rows:

@@ -113,8 +113,8 @@ class ReweightedEstimate:
     n: int
 
 
-def reweighted_expectation(payoff, x_paths: list[Path], curve: Curve,
-                           T: float | None = None) -> ReweightedEstimate:
+def reweighted_expectation(payoff, x_paths: list[Path],
+                           curve: Curve) -> ReweightedEstimate:
     """Importance-sampling estimate of E[f(Y_T)] from X-frame paths.
 
     Self-normalized mean with delta-method standard error, plus the
@@ -125,8 +125,7 @@ def reweighted_expectation(payoff, x_paths: list[Path], curve: Curve,
         raise ValueError("empty path batch")
     params = x_paths[0].params
     grid = x_paths[0].grid
-    horizon = grid.T if T is None else T
-    gam_T = float(curve.gamma(horizon))
+    gam_T = float(curve.gamma(grid.T))
 
     gauss = np.stack([p.gauss for p in x_paths])
     for p in x_paths:

@@ -7,6 +7,13 @@ discretized with one-sided second-order differences.  Time stepping is
 Crank-Nicolson with Rannacher (fully implicit) startup steps, which keeps the
 refinement study second order; interior convection switches to upwind where
 centered differences would break the discrete maximum principle.
+
+There is one SuperLU factorisation per (theta, interface row) key, reused by
+every step with that key.  It gives the bits of a per-step ``spsolve``: on
+a CSR matrix, ``spsolve`` hands SuperLU the CSR arrays as the CSC form of
+A^T and solves transposed under COLAMD ordering, and ``splu`` of the same
+arrays with ``solve(trans="T")`` repeats exactly that.  (``splu(A.tocsc())``
+pivots differently and moves values by up to ~5e-11.)
 """
 
 from __future__ import annotations
@@ -15,10 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, lil_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.linalg import splu
 
-from .errors import GridTooCoarse, UnstableSolve
+from .errors import GridTooCoarse, TruncationTooClose, UnstableSolve
 from .model import Curve, ModelParams
 from .paths import Frame, GridSpec, SchemeConfig, simulate_terminals
 
@@ -57,35 +64,13 @@ class PdeSolution:
         return float(np.interp(x0, self.x, self.u[0]))
 
 
-def _operator_rows(params: ModelParams, x: np.ndarray):
-    """Tridiagonal coefficients of L with hybrid centered/upwind convection."""
-    sig2 = params.sigma ** 2
-    n = x.size
-    dx = x[1] - x[0]
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    a = sig2 / 2.0 * x / dx ** 2                 # diffusion
-    conv = sig2 / 4.0 * (params.delta - params.b * x)
-    for i in range(1, n - 1):
-        lo = a[i] - conv[i] / (2.0 * dx)
-        hi = a[i] + conv[i] / (2.0 * dx)
-        if lo < 0.0 or hi < 0.0:
-            # upwind the convection to keep off-diagonals nonnegative
-            cp = max(conv[i], 0.0) / dx
-            cm = max(-conv[i], 0.0) / dx
-            lo = a[i] + cm
-            hi = a[i] + cp
-            diag[i] = -(2.0 * a[i] + cp + cm)
-        else:
-            diag[i] = -2.0 * a[i]
-        lower[i] = lo
-        upper[i] = hi
-    return lower, diag, upper
-
-
-def _interface_index(barrier_sq, t: float, dx: float) -> int:
-    return int(round(float(barrier_sq(t)) / dx))
+def _csr(bands: np.ndarray) -> csr_matrix:
+    """CSR matrix of (n, 5) bands at offsets -2..+2, exact zeros dropped."""
+    n = bands.shape[0]
+    cols = np.arange(n)[:, None] + np.arange(-2, 3)
+    keep = (bands != 0.0) & (cols >= 0) & (cols < n)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return csr_matrix((bands[keep], cols[keep], indptr), shape=(n, n))
 
 
 def _build_matrices(params: ModelParams, x: np.ndarray, m_iface: int | None,
@@ -93,83 +78,78 @@ def _build_matrices(params: ModelParams, x: np.ndarray, m_iface: int | None,
     """(A, B) with A u_new = B u_old; algebraic rows carry constraints."""
     n = x.size
     dx = x[1] - x[0]
-    lower, diag, upper = _operator_rows(params, x)
-    A = lil_matrix((n, n))
-    B = lil_matrix((n, n))
-
-    for i in range(1, n - 1):
-        A[i, i - 1] = -theta * dt * lower[i]
-        A[i, i] = 1.0 - theta * dt * diag[i]
-        A[i, i + 1] = -theta * dt * upper[i]
-        B[i, i - 1] = (1.0 - theta) * dt * lower[i]
-        B[i, i] = 1.0 + (1.0 - theta) * dt * diag[i]
-        B[i, i + 1] = (1.0 - theta) * dt * upper[i]
+    sig2 = params.sigma ** 2
+    a = sig2 / 2.0 * x / dx ** 2                 # diffusion
+    conv = sig2 / 4.0 * (params.delta - params.b * x)
+    lo = a - conv / (2.0 * dx)
+    hi = a + conv / (2.0 * dx)
+    # interior rows of L: upwind the convection where centering would make
+    # an off-diagonal negative
+    up = (lo < 0.0) | (hi < 0.0)
+    cp = np.maximum(conv, 0.0) / dx
+    cm = np.maximum(-conv, 0.0) / dx
+    L = np.column_stack([np.where(up, a + cm, lo),
+                         np.where(up, -(2.0 * a + cp + cm), -2.0 * a),
+                         np.where(up, a + cp, hi)])
+    A = np.zeros((n, 5))
+    B = np.zeros((n, 5))
+    A[:, 1:4] = -theta * dt * L
+    B[:, 1:4] = (1.0 - theta) * dt * L
+    A[:, 2] += 1.0
+    B[:, 2] += 1.0
+    A[[0, -1]] = B[[0, -1]] = 0.0   # boundary rows
 
     # x = 0 boundary
     if params.delta >= 2.0:
         # natural: degenerate diffusion, inflow convection (upwind)
-        c0 = params.sigma ** 2 / 4.0 * params.delta / dx
-        A[0, 0] = 1.0 + theta * dt * c0
-        A[0, 1] = -theta * dt * c0
-        B[0, 0] = 1.0 - (1.0 - theta) * dt * c0
-        B[0, 1] = (1.0 - theta) * dt * c0
+        c0 = sig2 / 4.0 * params.delta / dx
+        A[0, 2:4] = 1.0 + theta * dt * c0, -theta * dt * c0
+        B[0, 2:4] = 1.0 - (1.0 - theta) * dt * c0, (1.0 - theta) * dt * c0
     else:
         # reflecting: zero one-sided derivative, second order
-        A[0, 0] = 3.0
-        A[0, 1] = -4.0
-        A[0, 2] = 1.0
+        A[0, 2:] = 3.0, -4.0, 1.0
     # x = x_max: zero second derivative (linear extrapolation)
-    A[n - 1, n - 1] = 1.0
-    A[n - 1, n - 2] = -2.0
-    A[n - 1, n - 3] = 1.0
+    A[-1, :3] = 1.0, -2.0, 1.0
 
     if m_iface is not None:
-        i = m_iface
-        A.rows[i] = []
-        A.data[i] = []
-        B.rows[i] = []
-        B.data[i] = []
         p = params.p
         # (1-p) * d-(u) = p * d+(u), one-sided second order
-        A[i, i - 2] = (1.0 - p)
-        A[i, i - 1] = -4.0 * (1.0 - p)
-        A[i, i] = 3.0
-        A[i, i + 1] = -4.0 * p
-        A[i, i + 2] = p
-    return csr_matrix(A), csr_matrix(B)
+        A[m_iface] = (1.0 - p), -4.0 * (1.0 - p), 3.0, -4.0 * p, p
+        B[m_iface] = 0.0
+    return _csr(A), _csr(B)
 
 
 def solve_backward(params: ModelParams, barrier_sq, payoff, T: float,
                    grid: PdeGrid) -> PdeSolution:
     """Value function u(t, x) = E[f(R_T) | R_t = x] on [0, T] x [0, x_max]."""
     x = np.linspace(0.0, grid.x_max, grid.n_x)
-    dx = grid.dx
     dt = T / grid.n_t
     t = np.linspace(0.0, T, grid.n_t + 1)
 
-    bmax = max(float(barrier_sq(s)) for s in t)
-    if not bmax < 0.8 * grid.x_max:
-        raise ValueError("barrier too close to the truncation level")
-    indices = [_interface_index(barrier_sq, s, dx) for s in t]
+    bsq = [float(barrier_sq(s)) for s in t]
+    if not max(bsq) < 0.8 * grid.x_max:
+        raise TruncationTooClose("barrier too close to the truncation level")
+    indices = [int(round(b / grid.dx)) for b in bsq]
     if max(abs(a - b) for a, b in zip(indices[:-1], indices[1:])) > 1:
         raise GridTooCoarse("interface moves more than one cell per time step")
-
-    use_iface = params.p != 0.5
+    # the interface row at each time; none at p = 1/2 or near the ends
+    iface = [m if params.p != 0.5 and 2 <= m <= grid.n_x - 3 else None
+            for m in indices]
 
     u = np.empty((grid.n_t + 1, grid.n_x))
     u[grid.n_t] = np.asarray(payoff(x), dtype=float)
     cache: dict = {}
     for j in range(grid.n_t - 1, -1, -1):
         theta = 1.0 if (grid.n_t - 1 - j) < _RANNACHER_STEPS else 0.5
-        m = indices[j] if use_iface else None
-        if m is not None and not (2 <= m <= grid.n_x - 3):
-            m = None
-        key = (theta, m)
+        key = (theta, iface[j])
         if key not in cache:
-            cache[key] = _build_matrices(params, x, m, theta, dt)
-        A, B = cache[key]
+            A, B = _build_matrices(params, x, iface[j], theta, dt)
+            # A's CSR arrays read as CSC are A^T, as spsolve passes them
+            At = csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+            cache[key] = A, B, splu(At)
+        A, B, lu = cache[key]
         rhs = B @ u[j + 1]
-        sol = spsolve(A, rhs)
+        sol = lu.solve(rhs, trans="T")
         resid = np.abs(A @ sol - rhs).max()
         if resid > 1e-8 * max(1.0, np.abs(rhs).max()):
             raise UnstableSolve(f"linear solve residual {resid:.3e}")
@@ -188,23 +168,24 @@ class CrossCheckRow:
     passed: bool
 
 
-def compare_mc_pde(params: ModelParams, barrier_sq, payoff, T: float,
-                   x0_list, curve: Curve, grid: PdeGrid, n_paths: int,
-                   n_steps_mc: int, seed: int, extra_tol: float = 0.0,
+def compare_mc_pde(params: ModelParams, payoff, T: float, x0_list,
+                   curve: Curve, coarse: PdeSolution, fine: PdeSolution,
+                   n_paths: int, n_steps_mc: int, seed: int,
+                   extra_tol: float = 0.0,
                    scheme: SchemeConfig | None = None) -> list[CrossCheckRow]:
     """PDE value vs skew-scheme Monte Carlo at each starting point.
 
-    Pass criterion per x0: |diff| <= 3*SE + Richardson grid-bias estimate
-    + extra_tol.  The Monte Carlo side simulates square-root-frame paths
-    started at sqrt(x0) and squares the terminals.
+    ``coarse`` and ``fine`` solve the same problem on a grid and on its
+    refinement; the fine value is compared and their difference is the
+    Richardson grid-bias estimate.  Pass criterion per x0: |diff| <= 3*SE +
+    grid bias + extra_tol.  The Monte Carlo side simulates square-root-frame
+    paths started at sqrt(x0) and squares the terminals.
     """
-    sol_c = solve_backward(params, barrier_sq, payoff, T, grid)
-    sol_f = solve_backward(params, barrier_sq, payoff, T, grid.refined())
     mc_grid = GridSpec(T=T, n_steps=n_steps_mc)
     rows = []
     for k, x0 in enumerate(x0_list):
-        pde_f = sol_f.at(x0)
-        bias = abs(pde_f - sol_c.at(x0))
+        pde_f = fine.at(x0)
+        bias = abs(pde_f - coarse.at(x0))
         y_term = simulate_terminals(params, curve, Frame.Y, math.sqrt(x0),
                                     mc_grid, n_paths, seed + k, scheme)
         f_vals = np.asarray(payoff(y_term ** 2), dtype=float)

@@ -126,6 +126,28 @@ class TestRun:
         assert result.exit_code == 3
         assert "runtime failure" in result.stderr
 
+    @pytest.mark.parametrize("options", [
+        {"n_x": 100},
+        {"x_max": 1.2},
+        {"x_max": 1.2, "x0_list": [0.5]},   # barrier past 0.8 * x_max
+        {"x0_list": [0.5, 9.0]},            # x0 beyond x_max
+        {"n_x": 401.5},
+        {"x0_list": []},
+        {"n_t": 0},
+        {"extra_tol": -0.1},
+        {"nx": 401},
+    ])
+    def test_bad_pde_options_exit_two(self, tmp_path, options):
+        cfg = {"experiment": "pde-cross-check", "seed": 0, "n_paths": 100,
+               "options": options}
+        cfg_path = _write_config(tmp_path, cfg)
+        result = CliRunner().invoke(
+            main, ["run", "--config", cfg_path, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid config" in result.stderr
+        assert not (tmp_path / "report.json").exists()
+
     def test_seed_override(self, tmp_path):
         cfg_path = _write_config(tmp_path, SMALL_CIR)
         outs = {}
