@@ -22,14 +22,21 @@ from .experiments import (
 )
 
 
+def _no_constant(name: str):
+    raise ConfigInvalid(f"config is not valid JSON: {name} is not a number")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh, parse_constant=_no_constant)
     except FileNotFoundError as exc:
         raise ConfigInvalid(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigInvalid("config must be a JSON object")
+    return config
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -74,7 +81,9 @@ def validate(config_path):
               help="JSON experiment configuration.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--threads", type=int, default=None,
-              help="Worker threads (default: SKEWDIFF_THREADS or 1).")
+              help="Workers that draw each chunk's random numbers (default: "
+                   "SKEWDIFF_THREADS or 1; at most the CPUs available). The "
+                   "step loop runs on the calling thread.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Output directory (default: config output_dir or cwd).")
 def run(config_path, seed, threads, out_dir):
@@ -92,12 +101,17 @@ def run(config_path, seed, threads, out_dir):
         click.echo(f"runtime failure: {exc}", err=True)
         sys.exit(3)
 
+    report = bundle["report"]
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        click.echo("runtime failure: the report holds a non-finite number; "
+                   "no report written", err=True)
+        sys.exit(3)
     out = out_dir or config.get("output_dir") or "."
     os.makedirs(out, exist_ok=True)
-    report = bundle["report"]
     with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     for kind in bundle["plot_data"]:
         emit_plot_data(bundle, kind, out)
 

@@ -23,7 +23,13 @@ from .analytics import (
     ks_test,
     stationary_test,
 )
-from .errors import ConfigInvalid, ParamError, UnknownKind
+from .errors import (
+    ConfigInvalid,
+    NegativeCurve,
+    NonIntegrableDerivative,
+    ParamError,
+    UnknownKind,
+)
 from .girsanov import girsanov_log_weights
 from .localtime import check_relloc, occupation_estimate
 from .model import (
@@ -60,23 +66,67 @@ EXPERIMENTS = [
     "regime-check",
 ]
 
-# checked on the config's own options; relations between options (x0 below
-# x_max, the barrier below the truncation level) are checked at run time
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NONNEG = {"type": "number", "minimum": 0}
+_STEPS = {"type": "integer", "minimum": 1}
+
+
+def _closed(properties: dict, required=()) -> dict:
+    return {"type": "object", "additionalProperties": False,
+            "properties": properties, "required": list(required)}
+
+
+# Each experiment's options, checked on the merged config; relations
+# between fields are checked by _RELATIONS once the model is built.
 OPTIONS_SCHEMAS = {
-    "pde-cross-check": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "x_max": {"type": "number", "exclusiveMinimum": 0},
-            "n_x": {"type": "integer", "minimum": 200},
-            "n_t": {"type": "integer", "minimum": 1},
-            "x0_list": {"type": "array", "minItems": 1,
-                        "items": {"type": "number", "exclusiveMinimum": 0}},
-            "extra_tol": {"type": "number", "minimum": 0},
-            "max_refine_factor": {"type": "number", "minimum": 0},
-            "mc_band_width": {"type": "number", "minimum": 0},
-        },
-    },
+    "cir-baseline": _closed({}),
+    "besq-law": _closed({}),
+    "stationary-skew": _closed({
+        "burn_frac": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+        "thin": _STEPS,
+        "level": {"type": "number", "exclusiveMinimum": 0,
+                  "exclusiveMaximum": 1},
+        "ratio_rtol": _NONNEG,
+    }),
+    "localtime-ratios": _closed({"coarse_n_steps": _STEPS, "rtol": _NONNEG}),
+    "relloc-identity": _closed({"coarse_n_steps": _STEPS,
+                                "max_residual": _NONNEG}),
+    "girsanov-consistency": _closed({}),
+    "pde-cross-check": _closed({
+        "x_max": _POSITIVE,
+        "n_x": {"type": "integer", "minimum": 200},
+        "n_t": _STEPS,
+        "x0_list": {"type": "array", "minItems": 1, "items": _POSITIVE},
+        "extra_tol": _NONNEG,
+        "max_refine_factor": _NONNEG,
+        "mc_band_width": _NONNEG,
+    }),
+    "skew-occupation": _closed({"atol": _NONNEG}),
+    "dsr-demo": _closed({
+        "fd_h": _POSITIVE,
+        "drift_mode": {"enum": ["explicit", "implicit_sqrt_term"]},
+    }),
+    "regime-check": _closed({"n_random_curves": {"type": "integer",
+                                                 "minimum": 0}}),
+}
+
+# One schema per curve kind, "csv" for a sampled curve.  T_max is the
+# tabulation horizon (default: the grid's T).  A config curve of another
+# kind than the default's replaces the default instead of merging onto it.
+_CURVE_PARAMS = {
+    "constant": {"level": _NUMBER},
+    "linear": {"intercept": _NUMBER, "slope": _NUMBER},
+    "exp-decay": {"level": _NUMBER, "rate": _NUMBER},
+    "sinusoidal": {"level": _NUMBER, "amplitude": _NUMBER,
+                   "frequency": _NUMBER, "phase": _NUMBER},
+}
+CURVE_SCHEMAS = {
+    **{kind: _closed({"kind": {"const": kind}, "T_max": _POSITIVE, **props},
+                     required=["kind"])
+       for kind, props in _CURVE_PARAMS.items()},
+    "csv": _closed({"csv": {"type": "string"}, "T_max": _POSITIVE},
+                   required=["csv"]),
 }
 
 CONFIG_SCHEMA = {
@@ -87,39 +137,21 @@ CONFIG_SCHEMA = {
         "experiment": {"enum": EXPERIMENTS},
         "seed": {"type": "integer", "minimum": 0},
         "n_paths": {"type": "integer", "minimum": 1},
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma": {"type": "number"},
-                "delta": {"type": "number"},
-                "b": {"type": "number"},
-                "p": {"type": "number"},
-                "dsr_c": {"type": ["number", "null"]},
-            },
-        },
-        "curve": {
-            "type": "object",
-            "properties": {
-                "kind": {"type": "string"},
-                "csv": {"type": "string"},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "n_steps": {"type": "integer", "minimum": 1},
-            },
-        },
-        "x0": {"type": "number"},
+        "params": _closed({
+            "sigma": _NUMBER,
+            "delta": _NUMBER,
+            "b": _NUMBER,
+            "p": _NUMBER,
+            "dsr_c": {"type": ["number", "null"]},
+        }),
+        "curve": {"type": "object"},
+        "grid": _closed({"T": _POSITIVE, "n_steps": _STEPS}),
+        # every state space starts at 0: Y, R and Z are nonnegative, and
+        # the moving frame's lower edge -gamma(0) is 0
+        "x0": _NONNEG,
         "options": {"type": "object"},
         "output_dir": {"type": "string"},
     },
-    "allOf": [{"if": {"properties": {"experiment": {"const": name}}},
-               "then": {"properties": {"options": schema}}}
-              for name, schema in OPTIONS_SCHEMAS.items()],
 }
 
 _BASE_MODEL = {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.75, "dsr_c": None}
@@ -227,32 +259,104 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def normalize_config(config: dict) -> dict:
-    """Validate a raw config document and merge it onto experiment defaults."""
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigInvalid(f"config error at {path}: {exc.message}") from exc
-    cfg = _merge(default_config(config["experiment"]), config)
-    try:
-        validate_params(**cfg["params"])
-    except ParamError as exc:
-        raise ConfigInvalid(f"config error at params: {exc}") from exc
-    return cfg
+def _curve_kind(curve: dict):
+    return "csv" if "csv" in curve else curve.get("kind")
+
+
+def _validate(doc, schema: dict, where: str = "") -> None:
+    # jsonschema.validate would also check the (fixed) schema on every call
+    exc = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    if exc is not None:
+        parts = ([where] if where else []) + [str(p) for p in exc.absolute_path]
+        raise ConfigInvalid(f"config error at {'/'.join(parts) or '<root>'}: "
+                            f"{exc.message}") from exc
 
 
 def _build(cfg: dict) -> tuple[ModelParams, Curve, GridSpec]:
-    params = validate_params(**cfg["params"])
+    """The model a merged config describes; ConfigInvalid if there is none."""
+    try:
+        params = validate_params(**cfg["params"])
+    except ParamError as exc:
+        raise ConfigInvalid(f"config error at params: {exc}") from exc
     grid = GridSpec(T=float(cfg["grid"]["T"]), n_steps=int(cfg["grid"]["n_steps"]))
     cspec = dict(cfg["curve"])
     t_max = float(cspec.pop("T_max", grid.T))
-    if "csv" in cspec:
-        curve = curve_from_csv(cspec["csv"], T_max=t_max)
-    else:
-        kind = cspec.pop("kind")
-        curve = builtin_curve(kind, t_max, **cspec)
+    try:
+        if "csv" in cspec:
+            curve = curve_from_csv(cspec["csv"], T_max=t_max)
+        else:
+            curve = builtin_curve(cspec.pop("kind"), t_max, **cspec)
+    except (NegativeCurve, NonIntegrableDerivative, OSError, ValueError,
+            IndexError) as exc:
+        raise ConfigInvalid(f"config error at curve: {exc}") from exc
     return params, curve, grid
+
+
+def _check_stationary(cfg, params, curve, grid):
+    if not params.b > 0:
+        raise ConfigInvalid("config error at params/b: stationary-skew needs "
+                            "b > 0; for b = 0 there is no invariant law")
+
+
+def _check_pde(cfg, params, curve, grid):
+    opts = cfg["options"]
+    x_max = float(opts["x_max"])
+    if not max(opts["x0_list"]) < x_max:
+        raise ConfigInvalid("config error at options/x0_list: each x0 must "
+                            f"lie below x_max = {x_max:g}")
+    # the truncation check of solve_backward, made before anything runs
+    if not float(curve.lam(0.0)) ** 2 < 0.8 * x_max:
+        raise ConfigInvalid("config error at options/x_max: the squared "
+                            "barrier must lie below 0.8 * x_max")
+
+
+def _check_dsr(cfg, params, curve, grid):
+    if params.dsr_c is None:
+        raise ConfigInvalid("config error at params/dsr_c: dsr-demo needs "
+                            "the drift constant c")
+    if not float(cfg["options"]["fd_h"]) < grid.T:
+        raise ConfigInvalid("config error at options/fd_h: the difference "
+                            f"step must lie below T = {grid.T:g}")
+
+
+# checks between config fields, made once the model is built
+_RELATIONS = {
+    "stationary-skew": _check_stationary,
+    "pde-cross-check": _check_pde,
+    "dsr-demo": _check_dsr,
+}
+
+
+def _prepare(config: dict) -> tuple[dict, tuple[ModelParams, Curve, GridSpec]]:
+    """The merged config and its model, or ConfigInvalid."""
+    _validate(config, CONFIG_SCHEMA)
+    name = config["experiment"]
+    cfg = default_config(name)
+    curve = config.get("curve", {})
+    if _curve_kind({**cfg["curve"], **curve}) != _curve_kind(cfg["curve"]):
+        cfg["curve"] = {}
+    cfg = _merge(cfg, config)
+    kind = _curve_kind(cfg["curve"])
+    if kind not in CURVE_SCHEMAS:
+        raise ConfigInvalid(f"config error at curve/kind: unknown curve "
+                            f"{kind!r}; known: {', '.join(CURVE_SCHEMAS)}")
+    _validate(cfg["curve"], CURVE_SCHEMAS[kind], "curve")
+    _validate(cfg.get("options", {}), OPTIONS_SCHEMAS[name], "options")
+    model = _build(cfg)
+    if name in _RELATIONS:
+        _RELATIONS[name](cfg, *model)
+    return cfg, model
+
+
+def normalize_config(config: dict) -> dict:
+    """Validate a raw config document and merge it onto experiment defaults.
+
+    The model the config describes is built and the relations between its
+    fields are checked here too, so ``validate`` and ``run`` reject the
+    same configs.
+    """
+    return _prepare(config)[0]
 
 
 def _metric(value, std_error=None):
@@ -269,8 +373,8 @@ def _criterion(name, passed, tolerance, detail):
 
 # --- individual experiments -------------------------------------------------
 
-def _exp_cir_baseline(cfg, threads):
-    params, curve, grid = _build(cfg)
+def _exp_cir_baseline(cfg, model, threads):
+    params, curve, grid = model
     z0 = float(cfg["x0"])
     y_term = simulate_terminals(params, curve, Frame.Y, math.sqrt(z0), grid,
                                 cfg["n_paths"], cfg["seed"], threads=threads)
@@ -285,8 +389,8 @@ def _exp_cir_baseline(cfg, threads):
     return metrics, crit, {}
 
 
-def _exp_besq_law(cfg, threads):
-    params, curve, grid = _build(cfg)
+def _exp_besq_law(cfg, model, threads):
+    params, curve, grid = model
     z0 = float(cfg["x0"])
     y_term = simulate_terminals(params, curve, Frame.Y, math.sqrt(z0), grid,
                                 cfg["n_paths"], cfg["seed"], threads=threads)
@@ -299,8 +403,8 @@ def _exp_besq_law(cfg, threads):
     return metrics, crit, {}
 
 
-def _exp_stationary_skew(cfg, threads):
-    params, curve, grid = _build(cfg)
+def _exp_stationary_skew(cfg, model, threads):
+    params, curve, grid = model
     opts = cfg.get("options", {})
     level = float(curve.lam(0.0))
     c = level ** 2
@@ -354,8 +458,8 @@ def _ratio_run(params, curve, cfg, n_steps):
     return up / n, lo / n, sym / n, example
 
 
-def _exp_localtime_ratios(cfg, threads):
-    params, curve, _ = _build(cfg)
+def _exp_localtime_ratios(cfg, model, threads):
+    params, curve, _ = model
     opts = cfg.get("options", {})
     rtol = float(opts.get("rtol", 0.10))
     up_f, lo_f, sym_f, example = _ratio_run(params, curve, cfg,
@@ -404,8 +508,8 @@ def _relloc_run(params, curve, cfg, n_steps):
     return float(np.mean(residuals))
 
 
-def _exp_relloc_identity(cfg, threads):
-    params, curve, _ = _build(cfg)
+def _exp_relloc_identity(cfg, model, threads):
+    params, curve, _ = model
     opts = cfg.get("options", {})
     max_res = float(opts.get("max_residual", 0.10))
     res_f = _relloc_run(params, curve, cfg, int(cfg["grid"]["n_steps"]))
@@ -422,8 +526,8 @@ def _exp_relloc_identity(cfg, threads):
     return metrics, crit, {}
 
 
-def _exp_girsanov_consistency(cfg, threads):
-    params, curve, grid = _build(cfg)
+def _exp_girsanov_consistency(cfg, model, threads):
+    params, curve, grid = model
     n = int(cfg["n_paths"])
     x0 = float(cfg["x0"])
     gam_t = float(curve.gamma(grid.T))
@@ -469,15 +573,12 @@ def _exp_girsanov_consistency(cfg, threads):
     return metrics, crit, {}
 
 
-def _exp_pde_cross_check(cfg, threads):
-    params, curve, grid = _build(cfg)
+def _exp_pde_cross_check(cfg, model, threads):
+    params, curve, grid = model
     opts = cfg["options"]
     x0_list = opts["x0_list"]
     g1 = PdeGrid(x_max=float(opts["x_max"]), n_x=int(opts["n_x"]),
                  n_t=int(opts["n_t"]))
-    if not max(x0_list) < g1.x_max:
-        raise ConfigInvalid("config error at options/x0_list: each x0 must "
-                            f"lie below x_max = {g1.x_max:g}")
     level_sq = float(curve.lam(0.0)) ** 2
     barrier_sq = lambda t: level_sq
     payoff = lambda x: np.minimum(x, 2.0)
@@ -519,8 +620,8 @@ def _exp_pde_cross_check(cfg, threads):
     return metrics, crit, plot
 
 
-def _exp_skew_occupation(cfg, threads):
-    params, curve, grid = _build(cfg)
+def _exp_skew_occupation(cfg, model, threads):
+    params, curve, grid = model
     barrier = float(curve.lam(0.0))
     y_term = simulate_terminals(params, curve, Frame.Y, float(cfg["x0"]), grid,
                                 cfg["n_paths"], cfg["seed"], threads=threads)
@@ -535,8 +636,8 @@ def _exp_skew_occupation(cfg, threads):
     return metrics, crit, {}
 
 
-def _exp_dsr_demo(cfg, threads):
-    params, curve, grid = _build(cfg)
+def _exp_dsr_demo(cfg, model, threads):
+    params, curve, grid = model
     opts = cfg.get("options", {})
     z0 = float(cfg["x0"])
     n = int(cfg["n_paths"])
@@ -603,8 +704,8 @@ def _random_curve(rng, T):
     return decompose_curve(fn, dfn, T, quad_step=T / 400)
 
 
-def _exp_regime_check(cfg, threads):
-    params, curve, grid = _build(cfg)
+def _exp_regime_check(cfg, model, threads):
+    params, curve, grid = model
     opts = cfg.get("options", {})
     t_grid = np.linspace(0.0, grid.T, 33)
 
@@ -668,9 +769,10 @@ _RUNNERS = {
 
 def run_experiment(config: dict, threads: int = 1) -> dict:
     """Run a named experiment; returns {"report": ..., "plot_data": ...}."""
-    cfg = normalize_config(config)
+    cfg, model = _prepare(config)
     start = time.perf_counter()
-    metrics, criteria, plot_data = _RUNNERS[cfg["experiment"]](cfg, threads)
+    metrics, criteria, plot_data = _RUNNERS[cfg["experiment"]](cfg, model,
+                                                               threads)
     runtime = time.perf_counter() - start
     import numpy
     import scipy

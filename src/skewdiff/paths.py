@@ -11,7 +11,9 @@ chunking or thread count.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -44,6 +46,15 @@ __all__ = [
 ]
 
 _DRIFT_FLOOR = 1e-12
+
+# Default chunk, in path-steps: a chunk of m paths over n steps holds an
+# n x m float64 array of normals (two arrays with a live barrier), so this
+# bounds each at 64 MB whatever the grid.
+CHUNK_PATH_STEPS = 1 << 23
+# Per-worker scratch block the draws are made in before the transposed copy
+_SCRATCH_BYTES = 1 << 19
+# Paths whose starting states are computed in one rng.path_states call
+_STATE_BATCH = 1024
 
 
 class Frame(Enum):
@@ -160,19 +171,112 @@ def _curve_tables(params: ModelParams, curve: Curve, grid: GridSpec, frame: Fram
 
 
 def _draw_rows(m: int, n: int) -> np.ndarray:
-    """Uninitialised m x n array, one path per row.
+    """Uninitialised m x n array with contiguous rows.
 
-    The step loop reads it a column at a time.  Rows are padded by one
-    cache line: with a power-of-two row length the m elements of a column
-    fall into a handful of cache sets and evict each other every step.
+    Rows are padded by one cache line: with a power-of-two row length the m
+    elements of a column fall into a handful of cache sets, and the
+    transposed copies and column reads of the engine would evict each other.
     """
     return np.empty((m, n + 8))[:, :n]
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_block(root_seed: int, start: int, gauss: np.ndarray,
+                unif: np.ndarray | None, lo: int, hi: int) -> None:
+    """Draw paths start+lo .. start+hi-1 into rows lo..hi-1 of the views.
+
+    ``out=`` needs contiguous rows.  Path-major views have them; transposes
+    of step-major arrays do not, so their paths are drawn into a scratch
+    block of about _SCRATCH_BYTES and copied into place (np.copyto releases
+    the GIL).
+    """
+    n = gauss.shape[1]
+    in_place = gauss.strides[1] == gauss.itemsize
+    if in_place:
+        rows, g_out, u_out = hi - lo, gauss[lo:hi], unif
+        if unif is not None:
+            u_out = unif[lo:hi]
+    else:
+        rows = max(1, min(hi - lo, _SCRATCH_BYTES // (8 * n)))
+        g_out = _draw_rows(rows, n)
+        u_out = None if unif is None else _draw_rows(rows, n)
+    # path_states costs ~0.2 ms a call on top of ~2 us a path
+    states = (state for s in range(lo, hi, _STATE_BATCH)
+              for state in path_states(root_seed, start + s,
+                                       min(_STATE_BATCH, hi - s)))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for s in range(lo, hi, rows):
+        e = min(s + rows, hi)
+        for i in range(e - s):
+            bitgen.state = next(states)
+            gen.standard_normal(out=g_out[i])
+            if u_out is not None:
+                gen.random(out=u_out[i])
+        if not in_place:
+            np.copyto(gauss[s:e], g_out[:e - s])
+            if u_out is not None:
+                np.copyto(unif[s:e], u_out[:e - s])
+
+
+class _DrawPhase:
+    """Draw workers and step-major draw arrays shared by a run's chunks.
+
+    Path k draws from ``PCG64(derive_seed(root, k))``: its normals, then its
+    uniforms when the barrier is live somewhere on the grid (the mirror step
+    is their only reader; skipping them moves no other number).  Each of up
+    to ``threads`` workers (no more than the CPUs this process may run on)
+    fills a disjoint block of paths.  The arrays are reused by later chunks,
+    so their pages are faulted in once per run, not once per chunk.
+    """
+
+    def __init__(self, threads: int = 1):
+        self.workers = max(1, min(threads, _cpus()))
+        self._pool = (ThreadPoolExecutor(max_workers=self.workers)
+                      if self.workers > 1 else None)
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __enter__(self) -> "_DrawPhase":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def step_major(self, name: str, n: int, m: int) -> np.ndarray:
+        """An (n, m) array, one step per row, kept for the next chunk."""
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape[0] != n or arr.shape[1] < m:
+            arr = self._arrays[name] = _draw_rows(n, m)
+        return arr[:, :m]
+
+    def fill(self, root_seed: int, start: int, gauss: np.ndarray,
+             unif: np.ndarray | None) -> None:
+        """Draw path start+i into ``gauss[i]`` (and ``unif[i]``)."""
+        m = gauss.shape[0]
+        bounds = [m * i // self.workers for i in range(self.workers + 1)]
+        blocks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        if self._pool is None:
+            for lo, hi in blocks:
+                _fill_block(root_seed, start, gauss, unif, lo, hi)
+            return
+        futures = [self._pool.submit(_fill_block, root_seed, start, gauss,
+                                     unif, lo, hi) for lo, hi in blocks]
+        for fut in futures:
+            fut.result()
 
 
 def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                grid: GridSpec, scheme: SchemeConfig, root_seed: int,
                start: int, m: int, keep_values: bool, keep_gauss: bool,
-               collect_events: bool, dsr: bool = False) -> PathBatch:
+               collect_events: bool, dsr: bool = False,
+               draws: _DrawPhase | None = None) -> PathBatch:
     n = grid.n_steps
     dt = grid.dt
     sig = params.sigma
@@ -187,30 +291,48 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 
     seeds = derive_seeds(root_seed, start, m)
     bar, low, gam, skew_on = _curve_tables(params, curve, grid, frame)
-    # One m x n array of normals, plus one of uniforms only when the barrier
-    # is live somewhere on the grid (the mirror step is their only reader).
-    # A path's uniforms follow its normals in its stream, so skipping them
-    # moves no other number.  Each path's PCG64 state is set directly on one
-    # bit generator (see rng.path_states) instead of building one per path.
-    live = bool(skew_on.any())
-    gauss = _draw_rows(m, n)
-    unif = _draw_rows(m, n) if live else None
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for i, state in enumerate(path_states(root_seed, start, m)):
-        bitgen.state = state
-        gen.standard_normal(out=gauss[i])
-        if live:
-            gen.random(out=unif[i])
 
+    # Draw phase.  The step loop reads step k's draws as row k of an (n, m)
+    # array.  Kept normals are returned one path per row, so a chunk that
+    # keeps them draws both arrays path-major (the Girsanov sums over kept
+    # draws depend on their layout) and the loop reads them transposed.
+    draws = draws or _DrawPhase()
+    live = skew_on.any()
+    if keep_gauss:
+        g_rows = gauss = _draw_rows(m, n)
+        unif = _draw_rows(m, n) if live else None
+    else:
+        gauss = None
+        g_rows = draws.step_major("gauss", n, m).T
+        unif = draws.step_major("unif", n, m).T if live else None
+    draws.fill(root_seed, start, g_rows, unif)
+    g_steps = g_rows.T
+    u_steps = None if unif is None else unif.T
+
+    # Step phase, on the calling thread.
     c_drift = sig * sig / 8.0
     c_diff = 0.5 * sig * math.sqrt(dt)
     band = scheme.band_width * c_diff
     implicit = scheme.drift_mode == "implicit_sqrt_term"
     truncate = scheme.zero_handling == "truncate_at_zero"
     delta_one = delta == 1.0
+    dm1 = delta - 1.0
+    kd = dt * c_drift
+    quad4 = 4.0 * (kd * dm1)
+    # Per-chunk constants folded out of the loop where the fold is bit-exact
+    # for a finite state: a gamma = 0 or b = 0 term adds or subtracts a zero,
+    # which changes at most the sign of a zero result, and max() against the
+    # floor, the implicit root and abs() all ignore that sign ((delta-1)/max()
+    # is never -0.0, as delta >= 1).  A non-finite state stays non-finite
+    # either way, so SchemeDiverged fires at the same step.
+    gam_zero = not gam.any()
+    b_zero = b == 0.0
+    c_zero = c_const == 0.0
+    k_const = kd * -c_const  # the implicit drift term when b = 0
 
     y = np.full(m, float(x0))
+    v, u, t, du, dv = (np.empty(m) for _ in range(5))
+    act, act2 = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
     vals = None
     if keep_values:
         vals = np.empty((m, n + 1))
@@ -223,25 +345,57 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
         gk = gam[k]
         if implicit:
             # solve w = (y+gam) + dt*c_drift*((delta-1)/w - b*y - c) for w > 0
-            a_lin = y + gk + dt * c_drift * (-b * y - c_const)
-            c_quad = dt * c_drift * (delta - 1.0)
-            w = 0.5 * (a_lin + np.sqrt(a_lin * a_lin + 4.0 * c_quad))
-            u = w - gk
+            a = y
+            if not gam_zero:
+                a = np.add(y, gk, out=du)
+            if not b_zero:
+                np.multiply(y, -b, out=dv)
+                np.subtract(dv, c_const, out=dv)
+                np.multiply(dv, kd, out=dv)
+                a = np.add(a, dv, out=du)
+            elif k_const != 0.0:
+                a = np.add(a, k_const, out=du)
+            np.multiply(a, a, out=t)
+            np.add(t, quad4, out=t)
+            np.sqrt(t, out=t)
+            np.add(a, t, out=t)
+            np.multiply(t, 0.5, out=u)
+            if not gam_zero:
+                np.subtract(u, gk, out=u)
         else:
-            denom = np.maximum(y + gk, _DRIFT_FLOOR)
-            u = y + c_drift * ((delta - 1.0) / denom - b * y - c_const) * dt
+            if gam_zero:
+                np.maximum(y, _DRIFT_FLOOR, out=t)
+            else:
+                np.add(y, gk, out=t)
+                np.maximum(t, _DRIFT_FLOOR, out=t)
+            np.divide(dm1, t, out=t)
+            if not b_zero:
+                np.multiply(y, b, out=du)
+                np.subtract(t, du, out=t)
+            if not c_zero:
+                np.subtract(t, c_const, out=t)
+            np.multiply(t, c_drift, out=t)
+            np.multiply(t, dt, out=t)
+            np.add(y, t, out=u)
 
-        v = u + c_diff * gauss[:, k]
+        np.multiply(g_steps[k], c_diff, out=v)
+        np.add(u, v, out=v)
 
         if skew_on[k]:
             bk = bar[k]
-            du = u - bk
-            dv = v - bk
-            active = (du * dv < 0.0) | (np.minimum(np.abs(du), np.abs(dv)) < band)
-            idx = np.nonzero(active)[0]
+            np.subtract(u, bk, out=du)
+            np.subtract(v, bk, out=dv)
+            np.multiply(du, dv, out=t)
+            np.less(t, 0.0, out=act)
+            np.abs(du, out=du)
+            np.abs(dv, out=dv)
+            np.minimum(du, dv, out=du)
+            np.less(du, band, out=act2)
+            act |= act2
+            idx = act.nonzero()[0]
             if idx.size:
-                side = np.where(unif[idx, k] < p, 1.0, -1.0)
-                adv = np.abs(dv[idx])
+                side = np.where(u_steps[k][idx] < p, 1.0, -1.0)
+                adv = dv[idx]
                 if collect_events:
                     ev_steps.append(np.full(idx.size, k, dtype=np.int64))
                     ev_sides.append(side.astype(np.int8))
@@ -250,16 +404,22 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                 refl_counts[idx] += 1
         lk = low[k]
         if delta_one:
-            v = lk + np.abs(v - lk)
+            if gam_zero:
+                np.abs(v, out=v)
+            else:
+                np.subtract(v, lk, out=v)
+                np.abs(v, out=v)
+                np.add(v, lk, out=v)
         else:
-            neg = np.nonzero(v < lk)[0]
+            np.less(v, lk, out=act)
+            neg = act.nonzero()[0]
             if neg.size:
                 viol_counts[neg] += 1
                 if truncate:
                     v[neg] = lk
                 else:
                     v[neg] = 2.0 * lk - v[neg]
-        y = v
+        y, v = v, y
         if keep_values:
             vals[:, k + 1] = y
         if (k & 0xFF) == 0xFF and not np.all(np.isfinite(y)):
@@ -274,7 +434,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
             vals = vals * vals
         out_frame = Frame.Z_DSR
     else:
-        terminals = y.copy()
+        terminals = y
         out_frame = frame
 
     events = None
@@ -286,7 +446,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                                    np.concatenate(ev_over))
     return PathBatch(grid=grid, frame=out_frame, params=params,
                      start_index=start, seeds=seeds, terminals=terminals,
-                     values=vals, gauss=gauss if keep_gauss else None,
+                     values=vals, gauss=gauss,
                      reflection_counts=refl_counts,
                      lower_violations=viol_counts, events=events)
 
@@ -345,60 +505,61 @@ def square_path(y_path: Path) -> Path:
                 lower_violations=y_path.lower_violations)
 
 
+def _batches(params, curve, frame, x0, grid, n_paths, seed, scheme,
+             chunk_size, keep_values, keep_gauss, dsr,
+             draws: _DrawPhase) -> Iterator[PathBatch]:
+    step = chunk_size or max(1, CHUNK_PATH_STEPS // grid.n_steps)
+    for start in range(0, n_paths, step):
+        yield _run_chunk(params, curve, frame, x0, grid, scheme, seed,
+                         start=start, m=min(step, n_paths - start),
+                         keep_values=keep_values, keep_gauss=keep_gauss,
+                         collect_events=False, dsr=dsr, draws=draws)
+
+
 def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                     grid: GridSpec, n_paths: int, seed: int,
-                    scheme: SchemeConfig | None = None, chunk_size: int = 8192,
+                    scheme: SchemeConfig | None = None,
+                    chunk_size: int | None = None,
                     keep_values: bool = False, keep_gauss: bool = False,
                     dsr: bool = False) -> Iterator[PathBatch]:
     """Yield path batches in fixed index order (chunking-invariant streams).
 
-    A chunk of m paths and n steps holds one m x n float64 array of normals
-    (returned as ``gauss`` with ``keep_gauss``: a view with contiguous rows,
-    not a copy), plus one of uniforms when
-    the barrier is live somewhere on the grid; ``keep_values`` adds the
-    m x (n+1) trajectories.
+    A chunk holds ``chunk_size`` paths, by default as many as fit
+    ``CHUNK_PATH_STEPS`` path-steps.  Its m paths over n steps hold one
+    n x m float64 array of normals, plus one of uniforms when the barrier
+    is live somewhere on the grid; both are reused by the next chunk.
+    ``keep_gauss`` gives each chunk its own m x n arrays instead, one path
+    per row, and returns the normals as ``gauss`` (a view with contiguous
+    rows, not a copy); ``keep_values`` adds the m x (n+1) trajectories.
     """
     scheme = scheme or SchemeConfig()
-    start = 0
-    while start < n_paths:
-        m = min(chunk_size, n_paths - start)
-        yield _run_chunk(params, curve, frame, x0, grid, scheme, seed,
-                         start=start, m=m, keep_values=keep_values,
-                         keep_gauss=keep_gauss, collect_events=False, dsr=dsr)
-        start += m
+    with _DrawPhase() as draws:
+        yield from _batches(params, curve, frame, x0, grid, n_paths, seed,
+                            scheme, chunk_size, keep_values, keep_gauss, dsr,
+                            draws)
 
 
 def simulate_terminals(params: ModelParams, curve: Curve, frame: Frame,
                        x0: float, grid: GridSpec, n_paths: int, seed: int,
                        scheme: SchemeConfig | None = None,
-                       chunk_size: int = 8192, dsr: bool = False,
+                       chunk_size: int | None = None, dsr: bool = False,
                        threads: int = 1) -> np.ndarray:
     """Terminal values of ``n_paths`` paths (memory-light batch run).
 
     Output is independent of ``threads`` and ``chunk_size``: every path's
     stream is a pure function of (seed, path index) and results are placed
-    by index.  Each running chunk holds one chunk_size x n_steps array of
-    draws, two when the barrier is live (see :func:`simulate_chunks`).
+    by index.  Chunks run one after another (see :func:`simulate_chunks`
+    for their memory).  ``threads`` workers, at most the CPUs this process
+    may run on, make each chunk's draws; the step loop runs on the calling
+    thread alone, so two step loops never contend for the interpreter lock.
     """
     scheme = scheme or SchemeConfig()
     out = np.empty(n_paths)
-    starts = list(range(0, n_paths, chunk_size))
-
-    def work(start: int) -> PathBatch:
-        m = min(chunk_size, n_paths - start)
-        return _run_chunk(params, curve, frame, x0, grid, scheme, seed,
-                          start=start, m=m, keep_values=False,
-                          keep_gauss=False, collect_events=False, dsr=dsr)
-
-    if threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(work, starts))
-    else:
-        batches = [work(s) for s in starts]
-    for batch in sorted(batches, key=lambda b: b.start_index):
-        out[batch.start_index:batch.start_index + batch.terminals.size] = \
-            batch.terminals
+    with _DrawPhase(threads) as draws:
+        for batch in _batches(params, curve, frame, x0, grid, n_paths, seed,
+                              scheme, chunk_size, False, False, dsr, draws):
+            out[batch.start_index:batch.start_index + batch.terminals.size] = \
+                batch.terminals
     return out
 
 

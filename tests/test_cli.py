@@ -2,10 +2,14 @@
 
 import csv
 import json
+import math
 import os
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skewdiff.cli import _resolve_threads, main
 from skewdiff.errors import ConfigInvalid, UnknownKind
@@ -173,6 +177,138 @@ class TestRun:
         assert rows[0] == ["x", "empirical", "target"]
         assert len(rows) == 61
         float(rows[1][0])  # numeric payload
+
+
+class TestValidateAgreesWithRun:
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "cir-baseline", "seed": 0, "curve": {"kind": "bogus"}},
+        {"experiment": "cir-baseline", "seed": 0, "curve": {"levle": 3.0}},
+        {"experiment": "cir-baseline", "seed": 0,
+         "curve": {"kind": "linear", "level": 1.0}},
+        {"experiment": "cir-baseline", "seed": 0,
+         "curve": {"kind": "constant", "level": -1.0}},
+        {"experiment": "cir-baseline", "seed": 0,
+         "curve": {"csv": "no-such-file.csv"}},
+        {"experiment": "pde-cross-check", "seed": 0,
+         "options": {"x_max": 1.2, "x0_list": [0.5]}},
+        {"experiment": "localtime-ratios", "seed": 0, "x0": -1},
+        {"experiment": "stationary-skew", "seed": 0, "params": {"b": 0}},
+        {"experiment": "dsr-demo", "seed": 0, "params": {"dsr_c": None}},
+        {"experiment": "cir-baseline", "seed": 0, "options": {"atol": 0.1}},
+        {"experiment": "dsr-demo", "seed": 0,
+         "options": {"drift_mode": "magic"}},
+    ])
+    def test_both_exit_two_without_traceback(self, tmp_path, cfg):
+        path = _write_config(tmp_path, cfg)
+        for cmd in (["validate", "--config", path],
+                    ["run", "--config", path, "--out", str(tmp_path)]):
+            result = CliRunner().invoke(main, cmd)
+            assert result.exit_code == 2, (cmd[0], result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "invalid" in result.stderr
+        assert not (tmp_path / "report.json").exists()
+
+    def test_curve_of_another_kind_replaces_the_default(self):
+        cfg = normalize_config({"experiment": "cir-baseline", "seed": 0,
+                                "curve": {"kind": "linear", "slope": 0.5}})
+        assert cfg["curve"] == {"kind": "linear", "slope": 0.5}
+        cfg = normalize_config({"experiment": "cir-baseline", "seed": 0,
+                                "curve": {"level": 0.5}})
+        assert cfg["curve"] == {"kind": "constant", "level": 0.5}
+
+    def test_non_finite_json_number_exits_two(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"experiment": "cir-baseline", "seed": 0, "x0": NaN}')
+        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestFiniteReports:
+    def test_non_finite_metric_exits_three_without_report(self, tmp_path):
+        # one path: its standard error is NaN
+        cfg = dict(SMALL_CIR, n_paths=1)
+        cfg_path = _write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", cfg_path, "--out", str(out)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "non-finite" in result.stderr
+        assert not (out / "report.json").exists()
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {
+        "experiment": st.sampled_from(EXPERIMENTS),
+        "seed": st.integers(0, 1000),
+        "n_paths": st.integers(1, 30),
+        "grid": st.fixed_dictionaries({"T": _floats(0.05, 1.0),
+                                       "n_steps": st.integers(1, 32)}),
+    },
+    optional={
+        "x0": _floats(-0.5, 2.0),
+        "params": st.fixed_dictionaries({}, optional={
+            "sigma": _floats(0.5, 3.0),
+            "delta": _floats(0.8, 3.0),
+            "b": _floats(0.0, 2.0),
+            "p": _floats(0.05, 1.2),
+            "dsr_c": st.one_of(st.none(), _floats(0.0, 2.0)),
+        }),
+        "curve": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("constant")},
+                                  optional={"level": _floats(-0.2, 2.0)}),
+            st.fixed_dictionaries({"kind": st.just("linear")},
+                                  optional={"intercept": _floats(0.0, 2.0),
+                                            "slope": _floats(-1.0, 1.0)}),
+            st.fixed_dictionaries({"kind": st.sampled_from(
+                ["sinusoidal", "bogus"])}, optional={"levle": _floats(0, 1)}),
+        ),
+        "options": st.fixed_dictionaries({}, optional={
+            "atol": _floats(-0.1, 0.1),
+            "coarse_n_steps": st.integers(1, 16),
+            "thin": st.integers(0, 4),
+        }),
+    },
+)
+
+
+class TestExitCodeContract:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=_CONFIGS)
+    def test_exit_codes_hold_for_small_configs(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            out = os.path.join(tmp, "out")
+            checked = CliRunner().invoke(main, ["validate", "--config", path])
+            result = CliRunner().invoke(
+                main, ["run", "--config", path, "--out", out])
+            for res in (checked, result):
+                # a traceback leaves its exception here instead of SystemExit
+                assert res.exception is None or isinstance(res.exception,
+                                                           SystemExit), \
+                    res.exception
+            assert result.exit_code in (0, 1, 2, 3)
+            assert (checked.exit_code == 2) == (result.exit_code == 2)
+            report = os.path.join(out, "report.json")
+            assert os.path.exists(report) == (result.exit_code in (0, 1))
+            if result.exit_code in (0, 1):
+                with open(report) as fh:
+                    doc = json.load(fh, parse_constant=_reject_constant)
+                for metric in doc["metrics"].values():
+                    assert all(math.isfinite(v) for v in metric.values())
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds {name}")
 
 
 class TestThreadReproducibility:

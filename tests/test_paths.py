@@ -3,10 +3,14 @@
 import hashlib
 import io
 import math
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from skewdiff import paths
 from skewdiff.errors import BZero, MissingDsrC, WrongFrame
 from skewdiff.model import builtin_curve, decompose_curve, validate_params
 from skewdiff.paths import (
@@ -108,6 +112,31 @@ class TestSeeding:
         got = seed_sequence_words(np.array([seed], dtype=np.uint64))[0]
         want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("step_major", [True, False])
+    @pytest.mark.parametrize("live", [True, False])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_phase_follows_path_generator(self, monkeypatch, step_major,
+                                               live, threads):
+        # scratch blocks of 7 paths and state batches of 5: m = 47 is a
+        # multiple of neither, nor of the per-worker share.  Path-major
+        # arrays (kept draws) are drawn in place.
+        n, m, root, start = 24, 47, 13, 1000
+        monkeypatch.setattr(paths, "_SCRATCH_BYTES", 8 * n * 7)
+        monkeypatch.setattr(paths, "_STATE_BATCH", 5)
+        with paths._DrawPhase(threads) as draws:
+            if step_major:
+                gauss = draws.step_major("gauss", n, m).T
+                unif = draws.step_major("unif", n, m).T if live else None
+            else:
+                gauss = paths._draw_rows(m, n)
+                unif = paths._draw_rows(m, n) if live else None
+            draws.fill(root, start, gauss, unif)
+        for j in range(m):
+            gen = path_generator(root, start + j)
+            assert np.array_equal(gauss[j], gen.standard_normal(n))
+            if live:
+                assert np.array_equal(unif[j], gen.random(n))
 
     def test_draws_follow_path_generator(self):
         grid = GridSpec(T=1.0, n_steps=32)
@@ -315,21 +344,98 @@ class TestDsrPath:
 
 
 class TestBatching:
-    def test_terminals_invariant_to_chunking_and_threads(self):
+    def test_terminals_invariant_to_chunking_and_threads(self, monkeypatch):
         # live, absent (no uniforms drawn) and partly live barriers; more
-        # paths than the default chunk, so the default splits too
+        # paths than the default chunk (shrunk to 4096 paths here), so the
+        # default splits too
+        monkeypatch.setattr(paths, "CHUNK_PATH_STEPS", 4096 * 32)
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         grid = GridSpec(T=0.5, n_steps=32)
         n = 8192 + 300
         for curve in (CONSTANT_ONE, ZERO_CURVE, HALF_LIVE):
             base = simulate_terminals(params, curve, Frame.Y, 1.0, grid,
                                       n, 21, chunk_size=n + 1)
-            for chunk, threads in ((None, 1), (None, 2), (64, 1), (137, 3),
-                                   (n, 2)):
+            for chunk, threads in ((None, 1), (None, 2), (None, 3), (64, 1),
+                                   (137, 3), (1000, 2), (n, 2)):
                 kw = {} if chunk is None else {"chunk_size": chunk}
                 other = simulate_terminals(params, curve, Frame.Y, 1.0,
                                            grid, n, 21, threads=threads, **kw)
                 assert np.array_equal(base, other)
+
+    def test_one_step_loop_at_a_time_on_the_calling_thread(self, monkeypatch):
+        # each _run_chunk runs exactly one step loop; the draws of its chunk
+        # go to the workers
+        monkeypatch.setattr(paths.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        lock = threading.Lock()
+        state = {"active": 0, "max": 0, "loop_threads": set(),
+                 "draw_threads": set()}
+        run_chunk, fill_block = paths._run_chunk, paths._fill_block
+
+        def counted_chunk(*args, **kwargs):
+            with lock:
+                state["active"] += 1
+                state["max"] = max(state["max"], state["active"])
+                state["loop_threads"].add(threading.get_ident())
+            try:
+                time.sleep(0.002)  # widen the window for an overlap
+                return run_chunk(*args, **kwargs)
+            finally:
+                with lock:
+                    state["active"] -= 1
+
+        def recorded_fill(*args, **kwargs):
+            with lock:
+                state["draw_threads"].add(threading.get_ident())
+            return fill_block(*args, **kwargs)
+
+        monkeypatch.setattr(paths, "_run_chunk", counted_chunk)
+        monkeypatch.setattr(paths, "_fill_block", recorded_fill)
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        got = simulate_terminals(params, CONSTANT_ONE, Frame.Y, 1.0,
+                                 GridSpec(0.5, 16), 2000, 4, chunk_size=97,
+                                 threads=3)
+        assert state["max"] == 1
+        assert state["loop_threads"] == {threading.get_ident()}
+        assert state["draw_threads"].isdisjoint(state["loop_threads"])
+        assert 1 <= len(state["draw_threads"]) <= 3
+        monkeypatch.undo()
+        want = simulate_terminals(params, CONSTANT_ONE, Frame.Y, 1.0,
+                                  GridSpec(0.5, 16), 2000, 4)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 64])
+    def test_draw_workers_bounded_by_threads_and_cpus(self, monkeypatch,
+                                                      cpus, threads):
+        # the executor is a fake that runs its jobs inline and starts no
+        # thread, so a large ``threads`` is safe to ask for
+        made = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(paths.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        got = simulate_terminals(params, CONSTANT_ONE, Frame.Y, 1.0,
+                                 GridSpec(0.5, 8), 300, 6, chunk_size=64,
+                                 threads=threads)
+        assert all(w <= min(threads, cpus) for w in made)
+        assert made == ([min(threads, cpus)] if min(threads, cpus) > 1 else [])
+        monkeypatch.undo()
+        assert np.array_equal(got, simulate_terminals(
+            params, CONSTANT_ONE, Frame.Y, 1.0, GridSpec(0.5, 8), 300, 6))
 
     def test_simulate_paths_matches_terminals(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
