@@ -282,6 +282,9 @@ def _build(cfg: dict) -> tuple[ModelParams, Curve, GridSpec]:
     grid = GridSpec(T=float(cfg["grid"]["T"]), n_steps=int(cfg["grid"]["n_steps"]))
     cspec = dict(cfg["curve"])
     t_max = float(cspec.pop("T_max", grid.T))
+    if t_max < grid.T:
+        raise ConfigInvalid(f"config error at curve/T_max: {t_max:g} lies "
+                            f"below the grid's T = {grid.T:g}")
     try:
         if "csv" in cspec:
             curve = curve_from_csv(cspec["csv"], T_max=t_max)
@@ -320,6 +323,16 @@ def _check_dsr(cfg, params, curve, grid):
                             f"step must lie below T = {grid.T:g}")
 
 
+# Fewest paths an experiment's estimates are defined for: a ddof=1
+# standard error needs 2, the KS test 10 (analytics.ks_test)
+_MIN_PATHS = {
+    "cir-baseline": 2,
+    "besq-law": 10,
+    "girsanov-consistency": 2,
+    "pde-cross-check": 2,
+    "dsr-demo": 10,
+}
+
 # checks between config fields, made once the model is built
 _RELATIONS = {
     "stationary-skew": _check_stationary,
@@ -343,6 +356,9 @@ def _prepare(config: dict) -> tuple[dict, tuple[ModelParams, Curve, GridSpec]]:
                             f"{kind!r}; known: {', '.join(CURVE_SCHEMAS)}")
     _validate(cfg["curve"], CURVE_SCHEMAS[kind], "curve")
     _validate(cfg.get("options", {}), OPTIONS_SCHEMAS[name], "options")
+    if cfg["n_paths"] < _MIN_PATHS.get(name, 1):
+        raise ConfigInvalid(f"config error at n_paths: {name} needs at least "
+                            f"{_MIN_PATHS[name]} paths")
     model = _build(cfg)
     if name in _RELATIONS:
         _RELATIONS[name](cfg, *model)
@@ -537,7 +553,7 @@ def _exp_girsanov_consistency(cfg, model, threads):
     f_vals = np.empty(n)
     for batch in simulate_chunks(params, curve, Frame.X, x0, grid, n,
                                  cfg["seed"], chunk_size=10_000,
-                                 keep_gauss=True):
+                                 keep_gauss=True, threads=threads):
         lw, _, _ = girsanov_log_weights(batch.gauss, curve, params, grid)
         sl = slice(batch.start_index, batch.start_index + batch.terminals.size)
         logs[sl] = lw
@@ -596,7 +612,8 @@ def _exp_pde_cross_check(cfg, model, threads):
     scheme = SchemeConfig(band_width=float(opts.get("mc_band_width", 0.0)))
     rows = compare_mc_pde(params, payoff, grid.T, x0_list, curve, sol1, sol2,
                           int(cfg["n_paths"]), grid.n_steps, cfg["seed"],
-                          extra_tol=float(opts["extra_tol"]), scheme=scheme)
+                          extra_tol=float(opts["extra_tol"]), scheme=scheme,
+                          threads=threads)
 
     metrics = {}
     for row in rows:

@@ -187,7 +187,8 @@ def curve_from_csv(path, T_max=None, quad_step=None) -> Curve:
     """Load a sampled barrier from a two-column CSV (t, lambda(t)).
 
     The curve is interpolated linearly and differentiated by centered finite
-    differences on the sample grid.
+    differences on the sample grid.  ``T_max`` (default: the last sample
+    time) may not lie past the data: interpolation would hold the last value.
     """
     ts, vs = [], []
     with open(path, newline="") as fh:
@@ -202,6 +203,9 @@ def curve_from_csv(path, T_max=None, quad_step=None) -> Curve:
     ts, vs = ts[order], vs[order]
     if T_max is None:
         T_max = float(ts[-1])
+    elif T_max > ts[-1]:
+        raise ValueError(f"curve data end at t = {ts[-1]:g}, before "
+                         f"T_max = {T_max:g}")
     dv = np.gradient(vs, ts)
     fn = lambda t: np.interp(np.asarray(t, dtype=float), ts, vs)
     dfn = lambda t: np.interp(np.asarray(t, dtype=float), ts, dv)

@@ -10,6 +10,8 @@ chunking or thread count.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import struct
@@ -53,8 +55,13 @@ _DRIFT_FLOOR = 1e-12
 CHUNK_PATH_STEPS = 1 << 23
 # Per-worker scratch block the draws are made in before the transposed copy
 _SCRATCH_BYTES = 1 << 19
-# Paths whose starting states are computed in one rng.path_states call
-_STATE_BATCH = 1024
+# Fewest steps a path must have for a chunk's draws to be split across
+# workers: on shorter rows two workers hand the interpreter lock over
+# between paths and run slower than one.  Draw phase, ns per path-step, one
+# worker vs two (zero / live barrier, 2-core VM): 128 steps 42 vs 62 /
+# 72 vs 94, 256 steps 33 vs 42 / 37 vs 58, 512 steps 23 vs 25 / 27 vs 27,
+# 1024 steps 26 vs 13 / 40 vs 23.
+_MIN_PARALLEL_ROW = 512
 
 
 class Frame(Enum):
@@ -62,7 +69,6 @@ class Frame(Enum):
     X = 1
     R = 2
     Z_DSR = 3
-    CIR_EXACT = 4
 
 
 @dataclass(frozen=True)
@@ -187,14 +193,61 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
+    """The generator's 128-bit state and increment as four writable uint64.
+
+    ``state_address`` points at numpy's ``pcg64_state``: a pointer to the
+    ``pcg64_random_t`` {state, inc}, then the ``has_uint32`` flag and the
+    buffered ``uinteger``, both zeroed here as the state setter does
+    (normals and doubles never set them).  The view aliases ``bitgen``'s
+    memory, so it must not outlive it.
+    """
+    addr = bitgen.ctypes.state_address
+    ptr = ctypes.sizeof(ctypes.c_void_p)
+    np.frombuffer((ctypes.c_uint32 * 2).from_address(addr + ptr),
+                  dtype=np.uint32)[:] = 0
+    rng = ctypes.c_void_p.from_address(addr).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(rng),
+                         dtype=np.uint64)
+
+
+def _state_dict(words) -> dict:
+    """The ``PCG64.state`` dict of one row of :func:`rng.path_states`."""
+    return {"bit_generator": "PCG64",
+            "state": {"state": int(words[0]) | int(words[1]) << 64,
+                      "inc": int(words[2]) | int(words[3]) << 64},
+            "has_uint32": 0, "uinteger": 0}
+
+
+@functools.cache
+def _direct_writes() -> bool:
+    """Whether a write through :func:`_state_words` draws as the setter does.
+
+    It relies on numpy's ``pcg64_state`` layout and on 128-bit integers
+    stored low word first (a build with emulated 128-bit math stores the
+    high word first), so it is checked once per process, on first use, for
+    one known path.
+    """
+    words = path_states(0, 0, 1)[0]
+    direct, setter = np.random.PCG64(0), np.random.PCG64(0)
+    _state_words(direct)[:] = words
+    setter.state = _state_dict(words)
+    return np.array_equal(np.random.Generator(direct).standard_normal(8),
+                          np.random.Generator(setter).standard_normal(8))
+
+
 def _fill_block(root_seed: int, start: int, gauss: np.ndarray,
-                unif: np.ndarray | None, lo: int, hi: int) -> None:
+                unif: np.ndarray | None, lo: int, hi: int,
+                direct: bool) -> None:
     """Draw paths start+lo .. start+hi-1 into rows lo..hi-1 of the views.
 
-    ``out=`` needs contiguous rows.  Path-major views have them; transposes
-    of step-major arrays do not, so their paths are drawn into a scratch
-    block of about _SCRATCH_BYTES and copied into place (np.copyto releases
-    the GIL).
+    Each path's starting state is written into one ``PCG64``: straight into
+    its memory when ``direct`` (no dict, and no call that hands the
+    interpreter lock over), else through the ``state`` setter.  ``out=``
+    needs contiguous rows.  Path-major views have them; transposes of
+    step-major arrays do not, so their paths are drawn into a scratch block
+    of about _SCRATCH_BYTES and copied into place (np.copyto releases the
+    GIL).
     """
     n = gauss.shape[1]
     in_place = gauss.strides[1] == gauss.itemsize
@@ -206,16 +259,21 @@ def _fill_block(root_seed: int, start: int, gauss: np.ndarray,
         rows = max(1, min(hi - lo, _SCRATCH_BYTES // (8 * n)))
         g_out = _draw_rows(rows, n)
         u_out = None if unif is None else _draw_rows(rows, n)
-    # path_states costs ~0.2 ms a call on top of ~2 us a path
-    states = (state for s in range(lo, hi, _STATE_BATCH)
-              for state in path_states(root_seed, start + s,
-                                       min(_STATE_BATCH, hi - s)))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
+    words = path_states(root_seed, start + lo, hi - lo)
+    cell = None
+    if direct:
+        # one 32-byte item a path: state lo, state hi, inc lo, inc hi
+        words = words.view("V32")[:, 0]
+        cell = _state_words(bitgen).view("V32")
     for s in range(lo, hi, rows):
         e = min(s + rows, hi)
-        for i in range(e - s):
-            bitgen.state = next(states)
+        for i, w in enumerate(words[s - lo:e - lo]):
+            if cell is None:
+                bitgen.state = _state_dict(w)
+            else:
+                cell[0] = w
             gen.standard_normal(out=g_out[i])
             if u_out is not None:
                 gen.random(out=u_out[i])
@@ -232,8 +290,9 @@ class _DrawPhase:
     uniforms when the barrier is live somewhere on the grid (the mirror step
     is their only reader; skipping them moves no other number).  Each of up
     to ``threads`` workers (no more than the CPUs this process may run on)
-    fills a disjoint block of paths.  The arrays are reused by later chunks,
-    so their pages are faulted in once per run, not once per chunk.
+    fills a disjoint block of paths; paths shorter than _MIN_PARALLEL_ROW
+    steps all go to one worker.  The arrays are reused by later chunks, so
+    their pages are faulted in once per run, not once per chunk.
     """
 
     def __init__(self, threads: int = 1):
@@ -259,15 +318,18 @@ class _DrawPhase:
     def fill(self, root_seed: int, start: int, gauss: np.ndarray,
              unif: np.ndarray | None) -> None:
         """Draw path start+i into ``gauss[i]`` (and ``unif[i]``)."""
-        m = gauss.shape[0]
-        bounds = [m * i // self.workers for i in range(self.workers + 1)]
+        m, n = gauss.shape
+        direct = _direct_writes()
+        parts = self.workers if n >= _MIN_PARALLEL_ROW else 1
+        bounds = [m * i // parts for i in range(parts + 1)]
         blocks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         if self._pool is None:
             for lo, hi in blocks:
-                _fill_block(root_seed, start, gauss, unif, lo, hi)
+                _fill_block(root_seed, start, gauss, unif, lo, hi, direct)
             return
         futures = [self._pool.submit(_fill_block, root_seed, start, gauss,
-                                     unif, lo, hi) for lo, hi in blocks]
+                                     unif, lo, hi, direct)
+                   for lo, hi in blocks]
         for fut in futures:
             fut.result()
 
@@ -521,7 +583,8 @@ def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                     scheme: SchemeConfig | None = None,
                     chunk_size: int | None = None,
                     keep_values: bool = False, keep_gauss: bool = False,
-                    dsr: bool = False) -> Iterator[PathBatch]:
+                    dsr: bool = False,
+                    threads: int = 1) -> Iterator[PathBatch]:
     """Yield path batches in fixed index order (chunking-invariant streams).
 
     A chunk holds ``chunk_size`` paths, by default as many as fit
@@ -531,9 +594,12 @@ def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     ``keep_gauss`` gives each chunk its own m x n arrays instead, one path
     per row, and returns the normals as ``gauss`` (a view with contiguous
     rows, not a copy); ``keep_values`` adds the m x (n+1) trajectories.
+    ``threads`` bounds the draw workers as in :func:`simulate_terminals`;
+    kept draws are filled in place by disjoint blocks of rows, so neither
+    their values nor their layout depends on it.
     """
     scheme = scheme or SchemeConfig()
-    with _DrawPhase() as draws:
+    with _DrawPhase(threads) as draws:
         yield from _batches(params, curve, frame, x0, grid, n_paths, seed,
                             scheme, chunk_size, keep_values, keep_gauss, dsr,
                             draws)

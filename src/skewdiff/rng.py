@@ -6,16 +6,17 @@ parallel runs bit-identical regardless of chunking or thread count.
 
 Building one ``PCG64`` per path is slow (almost all of it numpy's
 ``SeedSequence``), so the path engine does not: :func:`path_states`
-computes, for a whole chunk of paths at once, the state that
-``PCG64(derive_seed(root, k))`` starts in, and the engine assigns it to a
-single bit generator before drawing each path.  The streams are the same
-numbers either way.
+computes, for a whole block of paths at once and in numpy uint64 arrays,
+the state that ``PCG64(derive_seed(root, k))`` starts in, as four words a
+path, and the engine writes them into a single bit generator before drawing
+each path.  No per-path Python arithmetic or dict is involved, so draw
+workers hold the interpreter lock only briefly per path.  The streams are
+the same numbers either way.
 """
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -28,7 +29,10 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_LO32 = np.uint64(0xFFFFFFFF)
+_1, _32, _63 = np.uint64(1), np.uint64(32), np.uint64(63)
 
 
 def derive_seed(root: int, k: int) -> int:
@@ -113,19 +117,35 @@ def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
     return out.view("<u8").astype(np.uint64)
 
 
-def path_states(root: int, start: int, m: int) -> list[dict]:
+def _mul_hi(x: np.ndarray, y: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products x*y, from 32-bit limbs."""
+    x0, x1 = x & _LO32, x >> _32
+    y0, y1 = y & _LO32, y >> _32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = ((x0 * y0) >> _32) + (p01 & _LO32) + (p10 & _LO32)
+    return x1 * y1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+
+
+def path_states(root: int, start: int, m: int) -> np.ndarray:
     """``PCG64(derive_seed(root, k)).state`` for k in [start, start + m).
 
+    Returns an (m, 4) uint64 array of state lo, state hi, inc lo, inc hi.
     PCG64 seeds from the first two words of ``generate_state(4, uint64)``
     (initstate, high word first) and the last two (initseq): ``inc =
-    2*initseq + 1`` and ``state = ((inc + initstate)*MULT + inc) mod 2**128``.
+    2*initseq + 1`` and ``state = ((inc + initstate)*MULT + inc) mod 2**128``
+    (O'Neill 2014), done here on 64-bit halves that wrap modulo 2**64, with
+    the high half of each 64 x 64-bit product built from 32-bit limbs.
     """
-    words = seed_sequence_words(derive_seeds(root, start, m)).tolist()
-    out = []
-    for s0, s1, q0, q1 in words:
-        inc = (((q0 << 64) | q1) << 1 | 1) & _MASK128
-        state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
-        out.append({"bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0})
+    w = seed_sequence_words(derive_seeds(root, start, m))
+    out = np.empty((m, 4), dtype=np.uint64)
+    inc_lo = out[:, 2] = (w[:, 3] << _1) | _1
+    inc_hi = out[:, 3] = (w[:, 2] << _1) | (w[:, 3] >> _63)
+    a_lo = inc_lo + w[:, 1]
+    a_hi = inc_hi + w[:, 0] + (a_lo < inc_lo)
+    # (a * MULT) mod 2**128
+    p_lo = a_lo * _PCG_MULT_LO
+    p_hi = (_mul_hi(a_lo, _PCG_MULT_LO) + a_lo * _PCG_MULT_HI
+            + a_hi * _PCG_MULT_LO)
+    out[:, 0] = p_lo + inc_lo
+    out[:, 1] = p_hi + inc_hi + (out[:, 0] < p_lo)
     return out

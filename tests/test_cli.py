@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from skewdiff import experiments, paths
 from skewdiff.cli import _resolve_threads, main
 from skewdiff.errors import ConfigInvalid, UnknownKind
 from skewdiff.experiments import (
@@ -197,8 +198,22 @@ class TestValidateAgreesWithRun:
         {"experiment": "cir-baseline", "seed": 0, "options": {"atol": 0.1}},
         {"experiment": "dsr-demo", "seed": 0,
          "options": {"drift_mode": "magic"}},
+        # too few paths for a standard error (was exit 3) or a KS test
+        {"experiment": "cir-baseline", "seed": 1, "n_paths": 1},
+        {"experiment": "pde-cross-check", "seed": 0, "n_paths": 1},
+        {"experiment": "besq-law", "seed": 0, "n_paths": 9},
+        # a curve tabulated short of the grid's T = 0.01 (was exit 1)
+        {"experiment": "skew-occupation", "seed": 0,
+         "curve": {"kind": "constant", "level": 1.0, "T_max": 0.001}},
+        # sampled data ending at t = 0.2 < T = 1 (was exit 0)
+        {"experiment": "cir-baseline", "seed": 0,
+         "curve": {"csv": "ends-at-0.2.csv"}},
     ])
-    def test_both_exit_two_without_traceback(self, tmp_path, cfg):
+    def test_both_exit_two_without_traceback(self, tmp_path, monkeypatch,
+                                             cfg):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ends-at-0.2.csv").write_text(
+            "t,lambda\n0,1\n0.1,1\n0.2,1\n")
         path = _write_config(tmp_path, cfg)
         for cmd in (["validate", "--config", path],
                     ["run", "--config", path, "--out", str(tmp_path)]):
@@ -225,10 +240,14 @@ class TestValidateAgreesWithRun:
 
 
 class TestFiniteReports:
-    def test_non_finite_metric_exits_three_without_report(self, tmp_path):
-        # one path: its standard error is NaN
-        cfg = dict(SMALL_CIR, n_paths=1)
-        cfg_path = _write_config(tmp_path, cfg)
+    def test_non_finite_metric_exits_three_without_report(self, tmp_path,
+                                                          monkeypatch):
+        # a runner whose metric comes out NaN (no valid config is known to
+        # produce one)
+        monkeypatch.setitem(
+            experiments._RUNNERS, "cir-baseline",
+            lambda cfg, model, threads: ({"x": {"value": math.nan}}, [], {}))
+        cfg_path = _write_config(tmp_path, SMALL_CIR)
         out = tmp_path / "out"
         result = CliRunner().invoke(
             main, ["run", "--config", cfg_path, "--out", str(out)])
@@ -325,6 +344,39 @@ class TestThreadReproducibility:
             report.pop("runtime_seconds")
             dumps[threads] = json.dumps(report, sort_keys=True)
         assert dumps[1] == dumps[3]
+
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "pde-cross-check", "seed": 5, "n_paths": 3000,
+         "grid": {"T": 1.0, "n_steps": 512},
+         "options": {"n_x": 201, "n_t": 16}},
+        {"experiment": "girsanov-consistency", "seed": 5, "n_paths": 3000,
+         "grid": {"T": 1.0, "n_steps": 512}},
+    ])
+    def test_threads_reach_every_simulation(self, tmp_path, monkeypatch,
+                                            cfg):
+        # rows of 512 steps, so two threads split each chunk's draws
+        workers = []
+        fill = paths._DrawPhase.fill
+
+        def recorded_fill(self, *args):
+            workers.append(self.workers)
+            return fill(self, *args)
+
+        monkeypatch.setattr(paths._DrawPhase, "fill", recorded_fill)
+        cfg_path = _write_config(tmp_path, cfg)
+        dumps = {}
+        for threads in (1, 2):
+            workers.clear()
+            out = tmp_path / f"t{threads}"
+            result = CliRunner().invoke(
+                main, ["run", "--config", cfg_path, "--threads", str(threads),
+                       "--out", str(out)])
+            assert result.exit_code in (0, 1), result.output
+            assert set(workers) == {min(threads, paths._cpus())}
+            report = json.loads((out / "report.json").read_text())
+            report.pop("runtime_seconds")
+            dumps[threads] = json.dumps(report, sort_keys=True)
+        assert dumps[1] == dumps[2]
 
     def test_env_variable_parsed(self, monkeypatch):
         monkeypatch.delenv("SKEWDIFF_THREADS", raising=False)

@@ -49,6 +49,47 @@ HALF_LIVE = decompose_curve(
     lambda t: np.where(np.asarray(t, dtype=float) < 0.25, -1.0, 0.0), 4.0)
 
 
+def _inline_executor(made: list, blocks: list):
+    """A ThreadPoolExecutor stand-in that runs its jobs inline and starts no
+    thread; it records its ``max_workers`` and each draw block (lo, hi)."""
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def submit(self, fn, *args):
+            blocks.append(args[4:6])
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def shutdown(self):
+            pass
+
+    return InlineExecutor
+
+
+def _check_draw_phase(monkeypatch, step_major, live, threads):
+    # scratch blocks of 7 paths: m = 47 is a multiple of neither that nor the
+    # per-worker share.  Rows of _MIN_PARALLEL_ROW steps, so two workers
+    # split the chunk.  Path-major arrays (kept draws) are drawn in place.
+    n, m, root, start = paths._MIN_PARALLEL_ROW, 47, 13, 1000
+    monkeypatch.setattr(paths, "_SCRATCH_BYTES", 8 * n * 7)
+    with paths._DrawPhase(threads) as draws:
+        if step_major:
+            gauss = draws.step_major("gauss", n, m).T
+            unif = draws.step_major("unif", n, m).T if live else None
+        else:
+            gauss = paths._draw_rows(m, n)
+            unif = paths._draw_rows(m, n) if live else None
+        draws.fill(root, start, gauss, unif)
+    for j in range(m):
+        gen = path_generator(root, start + j)
+        assert np.array_equal(gauss[j], gen.standard_normal(n))
+        if live:
+            assert np.array_equal(unif[j], gen.random(n))
+
+
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -101,10 +142,13 @@ class TestSeeding:
         for start, m in ((0, 40), (2 ** 40, 3)):
             states = path_states(root, start, m)
             seeds = derive_seeds(root, start, m)
+            assert states.shape == (m, 4) and states.dtype == np.uint64
             for i in range(m):
                 assert int(seeds[i]) == derive_seed(root, start + i)
                 want = np.random.PCG64(derive_seed(root, start + i)).state
-                assert states[i] == want
+                lo, hi, inc_lo, inc_hi = (int(w) for w in states[i])
+                assert lo | hi << 64 == want["state"]["state"]
+                assert inc_lo | inc_hi << 64 == want["state"]["inc"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
     def test_seed_sequence_replica(self, seed):
@@ -118,25 +162,32 @@ class TestSeeding:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_draw_phase_follows_path_generator(self, monkeypatch, step_major,
                                                live, threads):
-        # scratch blocks of 7 paths and state batches of 5: m = 47 is a
-        # multiple of neither, nor of the per-worker share.  Path-major
-        # arrays (kept draws) are drawn in place.
-        n, m, root, start = 24, 47, 13, 1000
-        monkeypatch.setattr(paths, "_SCRATCH_BYTES", 8 * n * 7)
-        monkeypatch.setattr(paths, "_STATE_BATCH", 5)
-        with paths._DrawPhase(threads) as draws:
-            if step_major:
-                gauss = draws.step_major("gauss", n, m).T
-                unif = draws.step_major("unif", n, m).T if live else None
-            else:
-                gauss = paths._draw_rows(m, n)
-                unif = paths._draw_rows(m, n) if live else None
-            draws.fill(root, start, gauss, unif)
-        for j in range(m):
-            gen = path_generator(root, start + j)
-            assert np.array_equal(gauss[j], gen.standard_normal(n))
-            if live:
-                assert np.array_equal(unif[j], gen.random(n))
+        _check_draw_phase(monkeypatch, step_major, live, threads)
+
+    @pytest.mark.parametrize("step_major", [True, False])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_phase_state_setter_fallback(self, monkeypatch, step_major,
+                                              threads):
+        # the state-write check failing sends every path through the setter
+        monkeypatch.setattr(paths, "_direct_writes", lambda: False)
+        _check_draw_phase(monkeypatch, step_major, True, threads)
+
+    def test_state_write_check(self, monkeypatch):
+        # this build's layout passes; a layout that stores each 128-bit word
+        # high half first (emulated 128-bit math) fails
+        assert paths._direct_writes() is True
+        assert paths._direct_writes.__wrapped__() is True
+        state_words = paths._state_words
+
+        class HighFirst:
+            def __init__(self, bitgen):
+                self.words = state_words(bitgen)
+
+            def __setitem__(self, key, value):
+                self.words[key] = np.asarray(value)[[1, 0, 3, 2]]
+
+        monkeypatch.setattr(paths, "_state_words", HighFirst)
+        assert paths._direct_writes.__wrapped__() is False
 
     def test_draws_follow_path_generator(self):
         grid = GridSpec(T=1.0, n_steps=32)
@@ -411,20 +462,8 @@ class TestBatching:
         # the executor is a fake that runs its jobs inline and starts no
         # thread, so a large ``threads`` is safe to ask for
         made = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(paths, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(paths, "ThreadPoolExecutor",
+                            _inline_executor(made, []))
         monkeypatch.setattr(paths.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         params = validate_params(2.0, 2.0, 1.0, 0.7)
@@ -436,6 +475,38 @@ class TestBatching:
         monkeypatch.undo()
         assert np.array_equal(got, simulate_terminals(
             params, CONSTANT_ONE, Frame.Y, 1.0, GridSpec(0.5, 8), 300, 6))
+
+    def test_short_rows_draw_as_one_block(self, monkeypatch):
+        # rows below _MIN_PARALLEL_ROW steps go to one pool worker whole;
+        # rows of that length are split between the two workers
+        blocks = []
+        monkeypatch.setattr(paths, "ThreadPoolExecutor",
+                            _inline_executor([], blocks))
+        monkeypatch.setattr(paths.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        row = paths._MIN_PARALLEL_ROW
+        for n, want in ((row // 4, [(0, 300)]), (row - 1, [(0, 300)]),
+                        (row, [(0, 150), (150, 300)])):
+            blocks.clear()
+            with paths._DrawPhase(2) as draws:
+                draws.fill(3, 0, draws.step_major("gauss", n, 300).T, None)
+            assert blocks == want
+
+    def test_kept_draws_invariant_to_threads(self, monkeypatch):
+        # path-major kept draws split across two workers at rows of
+        # _MIN_PARALLEL_ROW steps; draws and terminals equal one worker's
+        monkeypatch.setattr(paths.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        curve = builtin_curve("linear", 1.0, intercept=0.5, slope=1.0)
+        grid = GridSpec(1.0, paths._MIN_PARALLEL_ROW)
+        runs = [[(b.terminals, b.gauss) for b in simulate_chunks(
+                    params, curve, Frame.X, 0.5, grid, 90, 17, chunk_size=40,
+                    keep_gauss=True, threads=threads)]
+                for threads in (1, 2)]
+        for (t1, g1), (t2, g2) in zip(*runs):
+            assert np.array_equal(t1, t2) and np.array_equal(g1, g2)
+        assert len(runs[0]) == len(runs[1]) == 3
 
     def test_simulate_paths_matches_terminals(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
