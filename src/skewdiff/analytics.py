@@ -19,6 +19,7 @@ from .model import ModelParams
 
 __all__ = [
     "TestResult",
+    "mean_se",
     "cir_moments",
     "noncentral_chisq_cdf",
     "cir_terminal_cdf",
@@ -37,6 +38,11 @@ class TestResult:
     n: int
     passed: bool
     level: float
+
+
+def mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean of ``x`` and its standard error (ddof = 1)."""
+    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size))
 
 
 def cir_moments(params: ModelParams, z0: float, t: float) -> tuple[float, float]:

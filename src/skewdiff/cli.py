@@ -7,6 +7,7 @@ Exit codes: 0 all criteria pass, 1 criteria unmet, 2 invalid config,
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -105,8 +106,12 @@ def run(config_path, seed, threads, out_dir):
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
-        click.echo("runtime failure: the report holds a non-finite number; "
-                   "no report written", err=True)
+        text = None
+    plotted = (v for _, rows in bundle["plot_data"].values()
+               for row in rows for v in row)
+    if text is None or not all(math.isfinite(float(v)) for v in plotted):
+        click.echo("runtime failure: the report or its plot data holds a "
+                   "non-finite number; nothing written", err=True)
         sys.exit(3)
     out = out_dir or config.get("output_dir") or "."
     os.makedirs(out, exist_ok=True)

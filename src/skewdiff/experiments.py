@@ -21,6 +21,7 @@ from .analytics import (
     besq_terminal_cdf,
     cir_moments,
     ks_test,
+    mean_se,
     stationary_test,
 )
 from .errors import (
@@ -30,8 +31,16 @@ from .errors import (
     ParamError,
     UnknownKind,
 )
-from .girsanov import girsanov_log_weights
-from .localtime import check_relloc, occupation_estimate
+from .girsanov import girsanov_log_weights, self_normalized
+# check_relloc, occupation_estimate, simulate_paths and square_path are no
+# longer called here; perfbench/layers.py still hooks them in this module
+from .localtime import (
+    check_relloc,
+    default_band,
+    occupation_estimate,
+    occupation_rows,
+    relloc_rows,
+)
 from .model import (
     Curve,
     ModelParams,
@@ -302,6 +311,34 @@ def _check_stationary(cfg, params, curve, grid):
                             "b > 0; for b = 0 there is no invariant law")
 
 
+def _lam_blocks(curve, grid, points):
+    # lambda at the grid's first ``points`` times, 4,096 at a time: freeing
+    # an array the size of a long-run grid would raise malloc's mmap
+    # threshold, and with it the peak memory of later runs in the process
+    dt = grid.T / grid.n_steps
+    for k in range(0, points, 4096):
+        yield np.asarray(curve.lam(np.arange(k, min(k + 4096, points)) * dt))
+
+
+def _check_classical(cfg, params, curve, grid):
+    # the oracles are laws of the classical process, which the scheme runs
+    # where p = 1/2 (a symmetric mirror) or lambda <= 0 (no mirror)
+    if params.p != 0.5 and any(np.any(lam > 0) for lam in
+                               _lam_blocks(curve, grid, grid.n_steps)):
+        raise ConfigInvalid(f"config error at params/p: {cfg['experiment']} "
+                            "checks the classical process; it needs p = 0.5 "
+                            "or a barrier at 0")
+
+
+def _check_constant_barrier(cfg, params, curve, grid):
+    # the oracle holds the barrier at lambda(0) for the whole horizon
+    lam0 = float(curve.lam(0.0))
+    if any(np.any(lam != lam0) for lam in
+           _lam_blocks(curve, grid, grid.n_steps + 1)):
+        raise ConfigInvalid(f"config error at curve: {cfg['experiment']} "
+                            "needs a constant barrier on [0, T]")
+
+
 def _check_pde(cfg, params, curve, grid):
     opts = cfg["options"]
     x_max = float(opts["x_max"])
@@ -333,11 +370,15 @@ _MIN_PATHS = {
     "dsr-demo": 10,
 }
 
-# checks between config fields, made once the model is built
+# checks between config fields and of the oracle's domain, made once the
+# model is built
 _RELATIONS = {
-    "stationary-skew": _check_stationary,
-    "pde-cross-check": _check_pde,
-    "dsr-demo": _check_dsr,
+    "cir-baseline": (_check_classical,),
+    "besq-law": (_check_classical,),
+    "stationary-skew": (_check_stationary, _check_constant_barrier),
+    "pde-cross-check": (_check_pde, _check_constant_barrier),
+    "skew-occupation": (_check_constant_barrier,),
+    "dsr-demo": (_check_dsr, _check_classical),
 }
 
 
@@ -360,8 +401,8 @@ def _prepare(config: dict) -> tuple[dict, tuple[ModelParams, Curve, GridSpec]]:
         raise ConfigInvalid(f"config error at n_paths: {name} needs at least "
                             f"{_MIN_PATHS[name]} paths")
     model = _build(cfg)
-    if name in _RELATIONS:
-        _RELATIONS[name](cfg, *model)
+    for check in _RELATIONS.get(name, ()):
+        check(cfg, *model)
     return cfg, model
 
 
@@ -394,9 +435,7 @@ def _exp_cir_baseline(cfg, model, threads):
     z0 = float(cfg["x0"])
     y_term = simulate_terminals(params, curve, Frame.Y, math.sqrt(z0), grid,
                                 cfg["n_paths"], cfg["seed"], threads=threads)
-    r_term = y_term ** 2
-    est = float(np.mean(r_term))
-    se = float(np.std(r_term, ddof=1) / math.sqrt(r_term.size))
+    est, se = mean_se(y_term ** 2)
     target, _ = cir_moments(params, z0, grid.T)
     metrics = {"mean_estimate": _metric(est, se), "target_mean": _metric(target)}
     crit = [_criterion("mean within 3 SE of the first-moment ODE value",
@@ -421,15 +460,14 @@ def _exp_besq_law(cfg, model, threads):
 
 def _exp_stationary_skew(cfg, model, threads):
     params, curve, grid = model
-    opts = cfg.get("options", {})
+    opts = cfg["options"]
     level = float(curve.lam(0.0))
     c = level ** 2
     samples = simulate_long_run_squared(
         params, level, float(cfg["x0"]), grid.dt, grid.n_steps, cfg["seed"],
-        burn_frac=float(opts.get("burn_frac", 0.1)),
-        thin=int(opts.get("thin", 100)))
-    res = stationary_test(samples, params, c, level=float(opts.get("level", 0.01)))
-    rtol = float(opts.get("ratio_rtol", 0.10))
+        burn_frac=float(opts["burn_frac"]), thin=int(opts["thin"]))
+    res = stationary_test(samples, params, c, level=float(opts["level"]))
+    rtol = float(opts["ratio_rtol"])
     ratio_err = abs(res.jump_ratio / res.target_ratio - 1.0)
     metrics = {
         "gof_statistic": _metric(res.gof.statistic),
@@ -456,34 +494,38 @@ def _exp_stationary_skew(cfg, model, threads):
     return metrics, crit, plot
 
 
-def _ratio_run(params, curve, cfg, n_steps):
+def _band_rows(params, curve, cfg, n_steps):
+    """Each path's Y-frame values on an n_steps grid, in path order, with
+    the band arguments of the localtime row routines that follow them."""
     grid = GridSpec(T=float(cfg["grid"]["T"]), n_steps=n_steps)
-    eps = params.sigma / 2.0 * math.sqrt(grid.dt)
-    paths = simulate_paths(params, curve, Frame.Y, float(cfg["x0"]), grid,
-                           cfg["n_paths"], cfg["seed"])
-    up = lo = sym = 0.0
-    example = None
-    for path in paths:
-        est = occupation_estimate(path, lambda t: curve.lam(t), eps)
-        if example is None:
-            example = est
-        up += est.upper[-1]
-        lo += est.lower[-1]
-        sym += est.symmetric[-1]
-    n = len(paths)
-    return up / n, lo / n, sym / n, example
+    t = grid.times()[:-1]
+    lam = np.asarray(curve.lam(t), dtype=float) * np.ones_like(t)
+    for batch in simulate_chunks(params, curve, Frame.Y, float(cfg["x0"]),
+                                 grid, cfg["n_paths"], cfg["seed"],
+                                 keep_values=True):
+        band = (lam, params.sigma, grid.dt, default_band(batch))
+        for y in batch.values:
+            yield y, band
 
 
 def _exp_localtime_ratios(cfg, model, threads):
-    params, curve, _ = model
-    opts = cfg.get("options", {})
-    rtol = float(opts.get("rtol", 0.10))
-    up_f, lo_f, sym_f, example = _ratio_run(params, curve, cfg,
-                                            int(cfg["grid"]["n_steps"]))
-    up_c, lo_c, sym_c, _ = _ratio_run(params, curve, cfg,
-                                      int(opts["coarse_n_steps"]))
-    r_up, r_lo = up_f / sym_f, lo_f / sym_f
-    r_up_c, r_lo_c = up_c / sym_c, lo_c / sym_c
+    params, curve, grid = model
+    opts = cfg["options"]
+    rtol = float(opts["rtol"])
+    ratios, example = [], None
+    for n_steps in (grid.n_steps, int(opts["coarse_n_steps"])):
+        totals = []
+        for y, band in _band_rows(params, curve, cfg, n_steps):
+            up, lo = occupation_rows(y, *band)
+            if example is None:
+                example = (grid.times(), up, lo, (up + lo) / 2.0)
+            totals.append((up[-1], lo[-1]))
+        up, lo = np.array(totals).T
+        # left folds over the paths, as a running sum of per-path totals
+        n = len(totals)
+        sym = np.cumsum((up + lo) / 2.0)[-1] / n
+        ratios += [np.cumsum(up)[-1] / n / sym, np.cumsum(lo)[-1] / n / sym]
+    r_up, r_lo, r_up_c, r_lo_c = ratios
     t_up, t_lo = 2 * params.p, 2 * (1 - params.p)
     err_f = abs(r_up / t_up - 1) + abs(r_lo / t_lo - 1)
     err_c = abs(r_up_c / t_up - 1) + abs(r_lo_c / t_lo - 1)
@@ -507,29 +549,18 @@ def _exp_localtime_ratios(cfg, model, threads):
                    f"fine {err_f:.4f} < coarse {err_c:.4f}"),
     ]
     plot = {"localtime": (["t", "upper", "lower", "symmetric"],
-                          list(zip(example.times, example.upper,
-                                   example.lower, example.symmetric)))}
+                          list(zip(*example)))}
     return metrics, crit, plot
 
 
-def _relloc_run(params, curve, cfg, n_steps):
-    grid = GridSpec(T=float(cfg["grid"]["T"]), n_steps=n_steps)
-    eps = params.sigma / 2.0 * math.sqrt(grid.dt)
-    paths = simulate_paths(params, curve, Frame.Y, float(cfg["x0"]), grid,
-                           cfg["n_paths"], cfg["seed"])
-    residuals = []
-    for path in paths:
-        rep = check_relloc(square_path(path), path, curve, eps)
-        residuals.append(rep.residual)
-    return float(np.mean(residuals))
-
-
 def _exp_relloc_identity(cfg, model, threads):
-    params, curve, _ = model
-    opts = cfg.get("options", {})
-    max_res = float(opts.get("max_residual", 0.10))
-    res_f = _relloc_run(params, curve, cfg, int(cfg["grid"]["n_steps"]))
-    res_c = _relloc_run(params, curve, cfg, int(opts["coarse_n_steps"]))
+    params, curve, grid = model
+    opts = cfg["options"]
+    max_res = float(opts["max_residual"])
+    res_f, res_c = [
+        float(np.mean([relloc_rows(y ** 2, y, *band)[2]
+                       for y, band in _band_rows(params, curve, cfg, n_steps)]))
+        for n_steps in (grid.n_steps, int(opts["coarse_n_steps"]))]
     metrics = {"mean_residual_fine": _metric(res_f),
                "mean_residual_coarse": _metric(res_c)}
     crit = [
@@ -559,16 +590,12 @@ def _exp_girsanov_consistency(cfg, model, threads):
         logs[sl] = lw
         f_vals[sl] = payoff(batch.terminals + gam_t)
     w = np.exp(logs)
-    mean_w = float(np.mean(w))
-    se_w = float(np.std(w, ddof=1) / math.sqrt(n))
-    est_x = float(np.sum(w * f_vals) / np.sum(w))
-    se_x = float(np.std(w * (f_vals - est_x), ddof=1) / math.sqrt(n) / mean_w)
+    mean_w, se_w = mean_se(w)
+    est_x, se_x = self_normalized(w, f_vals)
 
     y_term = simulate_terminals(params, curve, Frame.Y, x0, grid, n,
                                 cfg["seed"] + 1, threads=threads)
-    fy = payoff(y_term)
-    est_y = float(np.mean(fy))
-    se_y = float(np.std(fy, ddof=1) / math.sqrt(n))
+    est_y, se_y = mean_se(payoff(y_term))
 
     lo_x, hi_x = est_x - 1.96 * se_x, est_x + 1.96 * se_x
     lo_y, hi_y = est_y - 1.96 * se_y, est_y + 1.96 * se_y
@@ -609,7 +636,7 @@ def _exp_pde_cross_check(cfg, model, threads):
     max_factor = float(opts["max_refine_factor"])
     # crossing-only mirroring: the finite band is a local-time device and
     # adds O(band^3) drift near the barrier, visible in terminal laws
-    scheme = SchemeConfig(band_width=float(opts.get("mc_band_width", 0.0)))
+    scheme = SchemeConfig(band_width=float(opts["mc_band_width"]))
     rows = compare_mc_pde(params, payoff, grid.T, x0_list, curve, sol1, sol2,
                           int(cfg["n_paths"]), grid.n_steps, cfg["seed"],
                           extra_tol=float(opts["extra_tol"]), scheme=scheme,
@@ -643,7 +670,8 @@ def _exp_skew_occupation(cfg, model, threads):
     y_term = simulate_terminals(params, curve, Frame.Y, float(cfg["x0"]), grid,
                                 cfg["n_paths"], cfg["seed"], threads=threads)
     frac = float(np.mean(y_term > barrier))
-    atol = float(cfg["options"].get("atol", 0.02))
+    atol = float(cfg["options"]["atol"])
+    # the binomial SE of a fraction, not mean_se's ddof=1 standard deviation
     metrics = {"fraction_above": _metric(
         frac, math.sqrt(frac * (1 - frac) / y_term.size)),
         "target_fraction": _metric(params.p)}
@@ -655,12 +683,12 @@ def _exp_skew_occupation(cfg, model, threads):
 
 def _exp_dsr_demo(cfg, model, threads):
     params, curve, grid = model
-    opts = cfg.get("options", {})
+    opts = cfg["options"]
     z0 = float(cfg["x0"])
     n = int(cfg["n_paths"])
     # the implicit square-root drift step keeps the singular term bounded;
     # the explicit kick (delta-1)/Y can overshoot after reflections near 0
-    scheme = SchemeConfig(drift_mode=str(opts.get("drift_mode", "explicit")))
+    scheme = SchemeConfig(drift_mode=str(opts["drift_mode"]))
 
     # c = 0 reduces to the squared Bessel law
     params_c0 = validate_params(params.sigma, params.delta, 0.0, params.p,
@@ -671,13 +699,15 @@ def _exp_dsr_demo(cfg, model, threads):
     ks = ks_test(z_term, besq_terminal_cdf(params_c0, z0, grid.T))
 
     # moment self-consistency at c > 0: dE[Z]/dt = (sigma^2/4)(delta - c E[sqrt Z])
-    h = float(opts.get("fd_h", 0.1))
+    h = float(opts["fd_h"])
     grids = {dt_key: GridSpec(T=grid.T + dt_key * h, n_steps=grid.n_steps)
              for dt_key in (-1, 0, 1)}
     terms = {k: simulate_terminals(params, curve, Frame.Y, math.sqrt(z0), g,
                                    n, cfg["seed"] + 10 + k, scheme,
                                    threads=threads, dsr=True)
              for k, g in grids.items()}
+    # not mean_se: se_lhs uses the ddof=0 variance and se_rhs scales the
+    # standard deviation before dividing by sqrt(n)
     lhs = float((np.mean(terms[1]) - np.mean(terms[-1])) / (2 * h))
     se_lhs = math.sqrt(float(np.var(terms[1]) + np.var(terms[-1]))
                        / n) / (2 * h)
@@ -723,7 +753,7 @@ def _random_curve(rng, T):
 
 def _exp_regime_check(cfg, model, threads):
     params, curve, grid = model
-    opts = cfg.get("options", {})
+    opts = cfg["options"]
     t_grid = np.linspace(0.0, grid.T, 33)
 
     # parameter gates
@@ -742,7 +772,7 @@ def _exp_regime_check(cfg, model, threads):
 
     # monotone regime holds for the configured p in (1/2, 1)
     rng = np.random.default_rng(cfg["seed"])
-    n_curves = int(opts.get("n_random_curves", 50))
+    n_curves = int(opts["n_random_curves"])
     all_ok = True
     for _ in range(n_curves):
         rc = _random_curve(rng, grid.T)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import mean_se
 from .errors import DegenerateWeights, MissingDraws, WrongFrame
 from .model import Curve, ModelParams
 from .paths import Frame, Path
@@ -23,6 +24,7 @@ __all__ = [
     "girsanov_log_weights",
     "shifted_brownian",
     "reweighted_expectation",
+    "self_normalized",
     "ReweightedEstimate",
 ]
 
@@ -113,6 +115,18 @@ class ReweightedEstimate:
     n: int
 
 
+def self_normalized(w: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """Self-normalized estimate sum(w*f)/sum(w) and its delta-method SE.
+
+    The ratio estimator of importance sampling (Owen, *Monte Carlo theory,
+    methods and examples*, ch. 9), from weights and payoff values.
+    """
+    est = float(np.sum(w * f) / np.sum(w))
+    se = float(np.std(w * (f - est), ddof=1) / math.sqrt(w.size)
+               / float(np.mean(w)))
+    return est, se
+
+
 def reweighted_expectation(payoff, x_paths: list[Path],
                            curve: Curve) -> ReweightedEstimate:
     """Importance-sampling estimate of E[f(Y_T)] from X-frame paths.
@@ -137,20 +151,13 @@ def reweighted_expectation(payoff, x_paths: list[Path],
     if not np.all(np.isfinite(f * w)):
         raise ValueError("payoff * weight overflowed")
 
-    n = w.size
     ess = float(np.sum(w)) ** 2 / float(np.sum(w * w))
     if ess < 10:
         raise DegenerateWeights(f"effective sample size {ess:.2f} < 10")
-
-    wbar = float(np.mean(w))
-    est = float(np.sum(w * f) / np.sum(w))
-    # delta method for the ratio estimator
-    resid = w * (f - est)
-    se = float(np.std(resid, ddof=1) / math.sqrt(n) / wbar)
-    un_mean = float(np.mean(w * f))
-    un_se = float(np.std(w * f, ddof=1) / math.sqrt(n))
+    wbar, wbar_se = mean_se(w)
+    est, se = self_normalized(w, f)
+    un_mean, un_se = mean_se(w * f)
     return ReweightedEstimate(estimate=est, std_error=se,
                               unnormalized_mean=un_mean, unnormalized_se=un_se,
-                              mean_weight=wbar,
-                              mean_weight_se=float(np.std(w, ddof=1) / math.sqrt(n)),
-                              ess=ess, n=n)
+                              mean_weight=wbar, mean_weight_se=wbar_se,
+                              ess=ess, n=w.size)

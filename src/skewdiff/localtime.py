@@ -15,10 +15,14 @@ import numpy as np
 
 from .errors import FrameMismatch, ZeroLocalTime
 from .model import Curve
-from .paths import Frame, Path
+from .paths import Frame, Path, PathBatch
 
 __all__ = [
     "LocalTimeEstimate",
+    "band_increments",
+    "occupation_rows",
+    "relloc_rows",
+    "default_band",
     "occupation_upper",
     "occupation_lower",
     "occupation_estimate",
@@ -56,49 +60,63 @@ def _check_frame(path: Path):
                             f"got {path.frame.name}")
 
 
-def _occupation(path: Path, barrier, eps: float):
-    """Upper and lower occupation-band increments for a Y/X-frame path."""
+def band_increments(diff, sigma: float, dt: float, eps: float):
+    """Upper and lower occupation-band increments, elementwise.
+
+    ``diff`` is the value minus the barrier at each step's left endpoint: a
+    step in [0, eps) adds (sigma^2/4)*dt/eps to the upper local time, one in
+    (-eps, 0] to the lower.
+    """
+    rate = sigma ** 2 / 4.0 * dt / eps
+    d_up = np.where((diff >= 0.0) & (diff < eps), rate, 0.0)
+    d_lo = np.where((diff > -eps) & (diff <= 0.0), rate, 0.0)
+    return d_up, d_lo
+
+
+def occupation_rows(values, lam, sigma: float, dt: float, eps: float):
+    """Cumulative upper and lower occupation along the last axis of ``values``.
+
+    Rows of n+1 points, ``lam`` the barrier at their n left endpoints; both
+    results start at 0 and are sequential sums.
+    """
+    d_up, d_lo = band_increments(values[..., :-1] - lam, sigma, dt, eps)
+    zero = np.zeros(values.shape[:-1] + (1,))
+    return (np.concatenate([zero, np.cumsum(d_up, axis=-1)], axis=-1),
+            np.concatenate([zero, np.cumsum(d_lo, axis=-1)], axis=-1))
+
+
+def _occupation(path: Path, barrier, eps: float, upper: bool = True,
+                lower: bool = True) -> LocalTimeEstimate:
+    """Occupation estimates of a Y/X-frame path; a side not asked for is 0."""
     _check_frame(path)
     if eps <= 0:
         raise ValueError("eps must be positive")
     kappa = _barrier_on_grid(path, barrier)
-    diff = path.values[:-1] - kappa[:-1]  # left-endpoint evaluation
-    rate = path.params.sigma ** 2 / 4.0 * path.grid.dt / eps
-    d_up = np.where((diff >= 0.0) & (diff < eps), rate, 0.0)
-    d_lo = np.where((diff > -eps) & (diff <= 0.0), rate, 0.0)
-    zero = np.zeros(1)
-    upper = np.concatenate([zero, np.cumsum(d_up)])
-    lower = np.concatenate([zero, np.cumsum(d_lo)])
-    return upper, lower
+    up, lo = occupation_rows(path.values, kappa[:-1], path.params.sigma,
+                             path.grid.dt, eps)
+    up = up if upper else np.zeros_like(up)
+    lo = lo if lower else np.zeros_like(lo)
+    return LocalTimeEstimate(times=path.grid.times(), upper=up, lower=lo,
+                             symmetric=(up + lo) / 2.0, eps=eps,
+                             method="occupation")
 
 
 def occupation_upper(path: Path, barrier, eps: float) -> LocalTimeEstimate:
     """Occupation estimate of the upper local time at the barrier."""
-    upper, _ = _occupation(path, barrier, eps)
-    zero = np.zeros_like(upper)
-    return LocalTimeEstimate(times=path.grid.times(), upper=upper, lower=zero,
-                             symmetric=(upper + zero) / 2.0, eps=eps,
-                             method="occupation")
+    return _occupation(path, barrier, eps, lower=False)
 
 
 def occupation_lower(path: Path, barrier, eps: float) -> LocalTimeEstimate:
     """Occupation estimate of the lower local time at the barrier."""
-    _, lower = _occupation(path, barrier, eps)
-    zero = np.zeros_like(lower)
-    return LocalTimeEstimate(times=path.grid.times(), upper=zero, lower=lower,
-                             symmetric=(zero + lower) / 2.0, eps=eps,
-                             method="occupation")
+    return _occupation(path, barrier, eps, upper=False)
 
 
 def occupation_estimate(path: Path, barrier, eps: float) -> LocalTimeEstimate:
     """Upper, lower and symmetric occupation estimates in one pass."""
-    upper, lower = _occupation(path, barrier, eps)
-    return LocalTimeEstimate(times=path.grid.times(), upper=upper, lower=lower,
-                             symmetric=(upper + lower) / 2.0, eps=eps,
-                             method="occupation")
+    return _occupation(path, barrier, eps)
 
 
-def default_band(path: Path) -> float:
+def default_band(path: Path | PathBatch) -> float:
     """One one-step diffusion standard deviation, (sigma/2)*sqrt(dt)."""
     return path.params.sigma / 2.0 * np.sqrt(path.grid.dt)
 
@@ -131,43 +149,40 @@ class RellocReport:
     residual: float
 
 
+def relloc_rows(r, y, lam, sigma: float, dt: float, eps: float):
+    """Both sides of the identity 2*sqrt(R) dl(Y) = dl(R), per row.
+
+    ``r`` and ``y`` hold the same paths in the R and Y frames, ``lam`` the
+    barrier at the left endpoints.  The R-frame band, eps_R(t) =
+    max(2*lambda(t)*eps, eps^2), targets the same barrier neighborhood.
+    Returns the R-frame local time at lambda^2, the 2*sqrt(R)-weighted
+    Y-frame one and their relative residual.
+    """
+    r, y = r[..., :-1], y[..., :-1]
+    eps_r = np.maximum(2.0 * lam * eps, eps * eps)
+    # d<R> = sigma^2 * R dt; symmetric band of half-width eps_r
+    a = np.sum(np.where(np.abs(r - lam ** 2) < eps_r,
+                        sigma ** 2 * r * dt / (2.0 * eps_r), 0.0), axis=-1)
+    d_up, d_lo = band_increments(y - lam, sigma, dt, eps)
+    b = np.sum(2.0 * np.sqrt(r) * ((d_up + d_lo) / 2.0), axis=-1)
+    return a, b, np.abs(a - b) / np.maximum(a, 1e-300)
+
+
 def check_relloc(r_path: Path, y_path: Path, curve: Curve,
                  eps: float) -> RellocReport:
-    """Compare the R-frame local time with the 2*sqrt(R)-weighted Y-frame one.
-
-    The R-frame band is position dependent, eps_R(t) = max(2*lambda(t)*eps,
-    eps^2), so both accumulations target the same barrier neighborhood.
-    """
+    """Compare the R-frame local time with the 2*sqrt(R)-weighted Y-frame one."""
     if r_path.frame is not Frame.R or y_path.frame is not Frame.Y:
         raise FrameMismatch("check_relloc expects (frame R, frame Y)")
     if r_path.grid != y_path.grid:
         raise FrameMismatch("paths must share the time grid")
     if not np.allclose(r_path.values, y_path.values ** 2, rtol=1e-10, atol=1e-12):
         raise FrameMismatch("r_path is not the elementwise square of y_path")
-
     t = y_path.grid.times()[:-1]
-    dt = y_path.grid.dt
-    sig = y_path.params.sigma
     lam = np.asarray(curve.lam(t), dtype=float) * np.ones_like(t)
-
-    r = r_path.values[:-1]
-    eps_r = np.maximum(2.0 * lam * eps, eps * eps)
-    ind_r = np.abs(r - lam ** 2) < eps_r
-    # d<R> = sigma^2 * R dt; symmetric band of half-width eps_r
-    a_increments = np.where(ind_r, sig ** 2 * r * dt / (2.0 * eps_r), 0.0)
-    a_total = float(np.sum(a_increments))
-
-    y = y_path.values[:-1]
-    diff = y - lam
-    rate = sig ** 2 / 4.0 * dt / eps
-    d_up = np.where((diff >= 0.0) & (diff < eps), rate, 0.0)
-    d_lo = np.where((diff > -eps) & (diff <= 0.0), rate, 0.0)
-    d_sym = (d_up + d_lo) / 2.0
-    b_total = float(np.sum(2.0 * np.sqrt(r) * d_sym))
-
-    residual = abs(a_total - b_total) / max(a_total, 1e-300)
-    return RellocReport(r_terminal=a_total, y_weighted=b_total,
-                        residual=residual)
+    a, b, residual = relloc_rows(r_path.values, y_path.values, lam,
+                                 y_path.params.sigma, y_path.grid.dt, eps)
+    return RellocReport(r_terminal=float(a), y_weighted=float(b),
+                        residual=float(residual))
 
 
 def relation_ratios(est: LocalTimeEstimate, p: float) -> tuple[float, float]:

@@ -31,7 +31,6 @@ from .errors import (
 __all__ = [
     "ModelParams",
     "Curve",
-    "ReferenceDensity",
     "RegimeReport",
     "validate_params",
     "decompose_curve",
@@ -210,17 +209,6 @@ def curve_from_csv(path, T_max=None, quad_step=None) -> Curve:
     fn = lambda t: np.interp(np.asarray(t, dtype=float), ts, vs)
     dfn = lambda t: np.interp(np.asarray(t, dtype=float), ts, dv)
     return decompose_curve(fn, dfn, T_max, quad_step)
-
-
-@dataclass(frozen=True)
-class ReferenceDensity:
-    """Evaluable reference density on the moving domain ``x >= -gamma(t)``."""
-
-    params: ModelParams
-    curve: Curve
-
-    def __call__(self, t, x):
-        return reference_density(self.params, self.curve, t, x)
 
 
 def reference_density(params: ModelParams, curve: Curve, t, x):

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
+from .analytics import mean_se
 from .errors import GridTooCoarse, TruncationTooClose, UnstableSolve
 from .model import Curve, ModelParams
 from .paths import Frame, GridSpec, SchemeConfig, simulate_terminals
@@ -192,8 +193,7 @@ def compare_mc_pde(params: ModelParams, payoff, T: float, x0_list,
                                     mc_grid, n_paths, seed + k, scheme,
                                     threads=threads)
         f_vals = np.asarray(payoff(y_term ** 2), dtype=float)
-        mc = float(np.mean(f_vals))
-        se = float(np.std(f_vals, ddof=1) / math.sqrt(n_paths))
+        mc, se = mean_se(f_vals)
         tol = 3.0 * se + bias + extra_tol
         rows.append(CrossCheckRow(x0=float(x0), pde_value=pde_f, mc_value=mc,
                                   mc_se=se, grid_bias=bias, tolerance=tol,

@@ -1,6 +1,8 @@
 """Command-line driver: exit codes, artifacts, reproducibility."""
 
 import csv
+import hashlib
+import importlib
 import json
 import math
 import os
@@ -208,6 +210,20 @@ class TestValidateAgreesWithRun:
         # sampled data ending at t = 0.2 < T = 1 (was exit 0)
         {"experiment": "cir-baseline", "seed": 0,
          "curve": {"csv": "ends-at-0.2.csv"}},
+        # a skew process against a classical oracle (was exit 1)
+        {"experiment": "cir-baseline", "seed": 0, "params": {"p": 0.9},
+         "curve": {"kind": "constant", "level": 1.0}},
+        {"experiment": "besq-law", "seed": 0, "params": {"p": 0.9},
+         "curve": {"kind": "constant", "level": 1.0}},
+        {"experiment": "dsr-demo", "seed": 0, "params": {"p": 0.9},
+         "curve": {"kind": "constant", "level": 1.0}},
+        # a moving barrier against a constant-barrier oracle (was exit 0/1)
+        {"experiment": "skew-occupation", "seed": 0,
+         "curve": {"kind": "linear", "intercept": 1.0, "slope": 20.0}},
+        {"experiment": "stationary-skew", "seed": 0,
+         "curve": {"kind": "linear", "intercept": 1.0, "slope": 0.001}},
+        {"experiment": "pde-cross-check", "seed": 0,
+         "curve": {"kind": "linear", "intercept": 1.0, "slope": 0.8}},
     ])
     def test_both_exit_two_without_traceback(self, tmp_path, monkeypatch,
                                              cfg):
@@ -255,6 +271,22 @@ class TestFiniteReports:
         assert isinstance(result.exception, SystemExit)
         assert "non-finite" in result.stderr
         assert not (out / "report.json").exists()
+
+    def test_non_finite_plot_value_exits_three_without_files(self, tmp_path,
+                                                              monkeypatch):
+        plot = {"localtime": (["t", "upper", "lower", "symmetric"],
+                              [(0.0, 0.0, 0.0, 0.0), (1.0, math.nan, 0.0, 0.0)])}
+        monkeypatch.setitem(
+            experiments._RUNNERS, "cir-baseline",
+            lambda cfg, model, threads: ({"x": {"value": 1.0}}, [], plot))
+        cfg_path = _write_config(tmp_path, SMALL_CIR)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", cfg_path, "--out", str(out)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "non-finite" in result.stderr
+        assert not out.exists() or not any(out.iterdir())
 
 
 def _floats(lo, hi):
@@ -388,6 +420,60 @@ class TestThreadReproducibility:
         monkeypatch.setenv("SKEWDIFF_THREADS", "many")
         with pytest.raises(ConfigInvalid):
             _resolve_threads(None)
+
+
+# Small configs whose reports and plot rows (minus runtime and versions)
+# are pinned to the digests of the code before the local-time estimators
+# moved to row routines over PathBatch values
+GOLDEN = {
+    # 200 paths: enough that a pairwise sum over them moves the last bits
+    # of the sequential one
+    "localtime-ratios": ({"n_paths": 200, "grid": {"T": 2.0, "n_steps": 1024},
+                          "options": {"coarse_n_steps": 256}},
+                         "71bec32e132128fd21f94716356a06d8"
+                         "e9fb0c23225ca234b07d3f7a3d691026"),
+    "relloc-identity": ({"n_paths": 200, "grid": {"T": 2.0, "n_steps": 1024},
+                         "options": {"coarse_n_steps": 256}},
+                        "23cc99c9c257a3e7da1bc60d4da9b7ba"
+                        "8ad1279cc46fdc5dbcbd1d576c3d96e0"),
+    # 12,000 paths: two of its 10,000-path chunks
+    "girsanov-consistency": ({"n_paths": 12_000,
+                              "grid": {"T": 1.0, "n_steps": 64}},
+                             "4e034251e2424c55efe2e29d966af0b0"
+                             "2e86663320208c93c2d6288348208c38"),
+    "cir-baseline": ({"n_paths": 4000, "grid": {"T": 1.0, "n_steps": 128}},
+                     "2f8df5ec71a1d9519004a53ed31db350"
+                     "2ea7a9f31e61b85acc647b7cecc3b583"),
+    "pde-cross-check": ({"n_paths": 2000, "grid": {"T": 1.0, "n_steps": 128},
+                         "options": {"n_x": 201, "n_t": 16}},
+                        "f13335d6b4ec017b8f870b549f131870"
+                        "e0b9780193dc930e66d7600f84bf3fa1"),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_report_digest(self, name):
+        over, expected = GOLDEN[name]
+        bundle = run_experiment({"experiment": name, "seed": 3, **over})
+        report = {k: v for k, v in bundle["report"].items()
+                  if k not in ("runtime_seconds", "versions")}
+        plots = {kind: [header, [[repr(float(v)) for v in row]
+                                 for row in rows]]
+                 for kind, (header, rows) in bundle["plot_data"].items()}
+        text = json.dumps([report, plots], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+class TestBenchmarkHooks:
+    def test_traced_names_resolve(self, monkeypatch):
+        # the benchmark's traced pass wraps these module globals by name
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        layers = importlib.import_module("layers")
+        for mod_name, attr, *_ in layers.HOOKS + layers.GENERATOR_HOOKS:
+            assert hasattr(importlib.import_module(mod_name), attr), \
+                (mod_name, attr)
 
 
 class TestPlotData:

@@ -70,11 +70,13 @@ def _inline_executor(made: list, blocks: list):
 
 
 def _check_draw_phase(monkeypatch, step_major, live, threads):
-    # scratch blocks of 7 paths: m = 47 is a multiple of neither that nor the
-    # per-worker share.  Rows of _MIN_PARALLEL_ROW steps, so two workers
-    # split the chunk.  Path-major arrays (kept draws) are drawn in place.
+    # scratch blocks of 7 paths and state words in batches of 11: m = 47 is
+    # a multiple of neither these nor the per-worker share.  Rows of
+    # _MIN_PARALLEL_ROW steps, so two workers split the chunk.  Path-major
+    # arrays (kept draws) are drawn in place.
     n, m, root, start = paths._MIN_PARALLEL_ROW, 47, 13, 1000
     monkeypatch.setattr(paths, "_SCRATCH_BYTES", 8 * n * 7)
+    monkeypatch.setattr(paths, "_STATE_BATCH", 11)
     with paths._DrawPhase(threads) as draws:
         if step_major:
             gauss = draws.step_major("gauss", n, m).T
@@ -273,12 +275,9 @@ class TestYPath:
         counts, dts = [], []
         for n_steps in (512, 1024, 2048, 4096, 8192):
             grid = GridSpec(T=1.0, n_steps=n_steps)
-            total = 0
-            n_rep = 40
-            for seed in range(n_rep):
-                path = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=seed)
-                total += path.reflections.count
-            counts.append(total / n_rep)
+            (batch,) = simulate_chunks(params, CONSTANT_ONE, Frame.Y, 1.0, grid,
+                                       40, 0)
+            counts.append(float(np.mean(batch.reflection_counts)))
             dts.append(grid.dt)
         slope = np.polyfit(np.log(dts), np.log(counts), 1)[0]
         assert -0.6 <= slope <= -0.4
