@@ -29,27 +29,18 @@ def _no_constant(name: str):
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh, parse_constant=_no_constant)
     except FileNotFoundError as exc:
         raise ConfigInvalid(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read config file {path}: "
+                            f"{exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
     return config
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("SKEWDIFF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigInvalid(f"SKEWDIFF_THREADS={env!r} is not an integer")
-    return 1
 
 
 @click.group()
@@ -81,20 +72,28 @@ def validate(config_path):
 @click.option("--config", "config_path", required=True, type=click.Path(),
               help="JSON experiment configuration.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--threads", type=int, default=None,
-              help="Workers that draw each chunk's random numbers (default: "
-                   "SKEWDIFF_THREADS or 1; at most the CPUs available). The "
-                   "step loop runs on the calling thread.")
+@click.option("--threads", type=int, default=1,
+              help="Workers that draw each chunk's random numbers (at most "
+                   "the CPUs available). The step loop runs on the calling "
+                   "thread.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Output directory (default: config output_dir or cwd).")
 def run(config_path, seed, threads, out_dir):
     """Run an experiment and write report.json plus plot-data CSVs."""
-    # config errors found while the experiment runs also exit 2
+    # config errors found while the experiment runs also exit 2, and so does
+    # an output directory that cannot be made, before anything runs
     try:
         config = _load_config(config_path)
         if seed is not None:
             config["seed"] = seed
-        bundle = run_experiment(config, threads=_resolve_threads(threads))
+        config = normalize_config(config)
+        out = out_dir or config.get("output_dir") or "."
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot create output directory {out}: "
+                                f"{exc.strerror}") from exc
+        bundle = run_experiment(config, threads=threads)
     except ConfigInvalid as exc:
         click.echo(f"invalid config: {exc}", err=True)
         sys.exit(2)
@@ -113,12 +112,15 @@ def run(config_path, seed, threads, out_dir):
         click.echo("runtime failure: the report or its plot data holds a "
                    "non-finite number; nothing written", err=True)
         sys.exit(3)
-    out = out_dir or config.get("output_dir") or "."
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        fh.write(text + "\n")
-    for kind in bundle["plot_data"]:
-        emit_plot_data(bundle, kind, out)
+    try:
+        with open(os.path.join(out, "report.json"), "w") as fh:
+            fh.write(text + "\n")
+        for kind in bundle["plot_data"]:
+            emit_plot_data(bundle, kind, out)
+    except OSError as exc:
+        click.echo(f"runtime failure: cannot write to {out}: {exc.strerror}",
+                   err=True)
+        sys.exit(3)
 
     for crit in report["criteria"]:
         status = "PASS" if crit["passed"] else "FAIL"

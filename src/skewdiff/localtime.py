@@ -23,8 +23,6 @@ __all__ = [
     "occupation_rows",
     "relloc_rows",
     "default_band",
-    "occupation_upper",
-    "occupation_lower",
     "occupation_estimate",
     "tanaka_residual",
     "check_relloc",
@@ -85,35 +83,17 @@ def occupation_rows(values, lam, sigma: float, dt: float, eps: float):
             np.concatenate([zero, np.cumsum(d_lo, axis=-1)], axis=-1))
 
 
-def _occupation(path: Path, barrier, eps: float, upper: bool = True,
-                lower: bool = True) -> LocalTimeEstimate:
-    """Occupation estimates of a Y/X-frame path; a side not asked for is 0."""
+def occupation_estimate(path: Path, barrier, eps: float) -> LocalTimeEstimate:
+    """Upper, lower and symmetric occupation estimates of a Y/X-frame path."""
     _check_frame(path)
     if eps <= 0:
         raise ValueError("eps must be positive")
     kappa = _barrier_on_grid(path, barrier)
     up, lo = occupation_rows(path.values, kappa[:-1], path.params.sigma,
                              path.grid.dt, eps)
-    up = up if upper else np.zeros_like(up)
-    lo = lo if lower else np.zeros_like(lo)
     return LocalTimeEstimate(times=path.grid.times(), upper=up, lower=lo,
                              symmetric=(up + lo) / 2.0, eps=eps,
                              method="occupation")
-
-
-def occupation_upper(path: Path, barrier, eps: float) -> LocalTimeEstimate:
-    """Occupation estimate of the upper local time at the barrier."""
-    return _occupation(path, barrier, eps, lower=False)
-
-
-def occupation_lower(path: Path, barrier, eps: float) -> LocalTimeEstimate:
-    """Occupation estimate of the lower local time at the barrier."""
-    return _occupation(path, barrier, eps, upper=False)
-
-
-def occupation_estimate(path: Path, barrier, eps: float) -> LocalTimeEstimate:
-    """Upper, lower and symmetric occupation estimates in one pass."""
-    return _occupation(path, barrier, eps)
 
 
 def default_band(path: Path | PathBatch) -> float:
@@ -185,7 +165,7 @@ def check_relloc(r_path: Path, y_path: Path, curve: Curve,
                         residual=float(residual))
 
 
-def relation_ratios(est: LocalTimeEstimate, p: float) -> tuple[float, float]:
+def relation_ratios(est: LocalTimeEstimate) -> tuple[float, float]:
     """Terminal upper/symmetric and lower/symmetric ratios (targets 2p, 2(1-p))."""
     if est.upper is None or est.lower is None:
         raise ZeroLocalTime("estimate lacks upper/lower components")

@@ -231,10 +231,8 @@ def reference_density(params: ModelParams, curve: Curve, t, x):
 
 @dataclass(frozen=True)
 class RegimeReport:
-    valid: bool
     monotone_ok: bool
     failures: list
-    messages: list
 
 
 def check_monotonicity(params: ModelParams, curve: Curve, t_grid, x_grid,
@@ -259,15 +257,7 @@ def check_monotonicity(params: ModelParams, curve: Curve, t_grid, x_grid,
         for x, rs, rt in zip(xs[viol], np.atleast_1d(rho_s)[viol],
                              np.atleast_1d(rho_t)[viol]):
             failures.append(((float(s), float(t)), float(x), (float(rs), float(rt))))
-    monotone_ok = not failures
-    messages = []
-    if not monotone_ok:
-        messages.append(
-            f"reference density decreases in t at {len(failures)} grid points; "
-            "the diffusion can still be simulated in regime-unverified mode"
-        )
-    return RegimeReport(valid=monotone_ok, monotone_ok=monotone_ok,
-                        failures=failures, messages=messages)
+    return RegimeReport(monotone_ok=not failures, failures=failures)
 
 
 def stationary_density_constant_barrier(params: ModelParams, c, x):

@@ -14,9 +14,8 @@ import ctypes
 import functools
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -24,13 +23,12 @@ import numpy as np
 
 from .errors import BZero, MissingDsrC, SchemeDiverged, WrongFrame
 from .model import Curve, ModelParams
-from .rng import derive_seeds, path_generator, path_states
+from .rng import path_generator, path_states
 
 __all__ = [
     "Frame",
     "GridSpec",
     "SchemeConfig",
-    "ReflectionLog",
     "Path",
     "PathBatch",
     "simulate_y_path",
@@ -43,8 +41,6 @@ __all__ = [
     "simulate_long_run_squared",
     "exact_cir_step",
     "exact_besq_step",
-    "write_path_dump",
-    "read_path_dump",
 ]
 
 _DRIFT_FLOOR = 1e-12
@@ -106,28 +102,12 @@ class SchemeConfig:
 
     band_width: float = 3.0
     drift_mode: str = "explicit"  # or "implicit_sqrt_term"
-    zero_handling: str = "reflect_abs"  # or "truncate_at_zero"
 
     def __post_init__(self):
         if self.band_width < 0:
             raise ValueError("band_width must be >= 0")
         if self.drift_mode not in ("explicit", "implicit_sqrt_term"):
             raise ValueError(f"unknown drift_mode {self.drift_mode!r}")
-        if self.zero_handling not in ("reflect_abs", "truncate_at_zero"):
-            raise ValueError(f"unknown zero_handling {self.zero_handling!r}")
-
-
-@dataclass
-class ReflectionLog:
-    """Skew-reflection events of a single path."""
-
-    steps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    sides: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
-    overshoots: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @property
-    def count(self) -> int:
-        return int(self.steps.size)
 
 
 @dataclass
@@ -136,11 +116,9 @@ class Path:
 
     grid: GridSpec
     frame: Frame
-    seed: int
     params: ModelParams
     values: np.ndarray
     gauss: np.ndarray
-    reflections: ReflectionLog
     lower_violations: int = 0
 
     @property
@@ -157,14 +135,11 @@ class PathBatch:
     frame: Frame
     params: ModelParams
     start_index: int
-    seeds: np.ndarray
     terminals: np.ndarray
     values: np.ndarray | None
     gauss: np.ndarray | None
     reflection_counts: np.ndarray
     lower_violations: np.ndarray
-    # mirror-step events of the whole chunk, when the run collects them
-    events: ReflectionLog | None = None
 
 
 def _curve_tables(params: ModelParams, curve: Curve, grid: GridSpec, frame: Frame):
@@ -343,8 +318,7 @@ class _DrawPhase:
 def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                grid: GridSpec, scheme: SchemeConfig, root_seed: int,
                start: int, m: int, keep_values: bool, keep_gauss: bool,
-               collect_events: bool, dsr: bool = False,
-               draws: _DrawPhase | None = None) -> PathBatch:
+               dsr: bool, draws: _DrawPhase) -> PathBatch:
     n = grid.n_steps
     dt = grid.dt
     sig = params.sigma
@@ -357,14 +331,12 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
             raise MissingDsrC("simulate_dsr_path requires params.dsr_c")
         c_const = params.dsr_c
 
-    seeds = derive_seeds(root_seed, start, m)
     bar, low, gam, skew_on = _curve_tables(params, curve, grid, frame)
 
     # Draw phase.  The step loop reads step k's draws as row k of an (n, m)
     # array.  Kept normals are returned one path per row, so a chunk that
     # keeps them draws both arrays path-major (the Girsanov sums over kept
     # draws depend on their layout) and the loop reads them transposed.
-    draws = draws or _DrawPhase()
     live = skew_on.any()
     if keep_gauss:
         g_rows = gauss = _draw_rows(m, n)
@@ -382,7 +354,6 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     c_diff = 0.5 * sig * math.sqrt(dt)
     band = scheme.band_width * c_diff
     implicit = scheme.drift_mode == "implicit_sqrt_term"
-    truncate = scheme.zero_handling == "truncate_at_zero"
     delta_one = delta == 1.0
     dm1 = delta - 1.0
     kd = dt * c_drift
@@ -407,7 +378,6 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
         vals[:, 0] = y
     refl_counts = np.zeros(m, dtype=np.int64)
     viol_counts = np.zeros(m, dtype=np.int64)
-    ev_steps, ev_sides, ev_over = [], [], []
 
     for k in range(n):
         gk = gam[k]
@@ -463,12 +433,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
             idx = act.nonzero()[0]
             if idx.size:
                 side = np.where(u_steps[k][idx] < p, 1.0, -1.0)
-                adv = dv[idx]
-                if collect_events:
-                    ev_steps.append(np.full(idx.size, k, dtype=np.int64))
-                    ev_sides.append(side.astype(np.int8))
-                    ev_over.append(adv)
-                v[idx] = bk + side * adv
+                v[idx] = bk + side * dv[idx]
                 refl_counts[idx] += 1
         lk = low[k]
         if delta_one:
@@ -483,10 +448,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
             neg = act.nonzero()[0]
             if neg.size:
                 viol_counts[neg] += 1
-                if truncate:
-                    v[neg] = lk
-                else:
-                    v[neg] = 2.0 * lk - v[neg]
+                v[neg] = 2.0 * lk - v[neg]
         y, v = v, y
         if keep_values:
             vals[:, k + 1] = y
@@ -505,28 +467,11 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
         terminals = y
         out_frame = frame
 
-    events = None
-    if collect_events:
-        events = ReflectionLog()
-        if ev_steps:
-            events = ReflectionLog(np.concatenate(ev_steps),
-                                   np.concatenate(ev_sides),
-                                   np.concatenate(ev_over))
     return PathBatch(grid=grid, frame=out_frame, params=params,
-                     start_index=start, seeds=seeds, terminals=terminals,
+                     start_index=start, terminals=terminals,
                      values=vals, gauss=gauss,
                      reflection_counts=refl_counts,
-                     lower_violations=viol_counts, events=events)
-
-
-def _single(params, curve, frame, x0, grid, scheme, seed, dsr=False) -> Path:
-    batch = _run_chunk(params, curve, frame, x0, grid, scheme, seed,
-                       start=0, m=1, keep_values=True, keep_gauss=True,
-                       collect_events=True, dsr=dsr)
-    return Path(grid=grid, frame=batch.frame, seed=seed, params=params,
-                values=batch.values[0], gauss=batch.gauss[0],
-                reflections=batch.events,
-                lower_violations=int(batch.lower_violations[0]))
+                     lower_violations=viol_counts)
 
 
 def simulate_y_path(params: ModelParams, curve: Curve, y0: float,
@@ -535,8 +480,8 @@ def simulate_y_path(params: ModelParams, curve: Curve, y0: float,
     """One path of the square-root process with skew reflection at lambda(t)."""
     if y0 < 0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
-    scheme = scheme or SchemeConfig()
-    return _single(params, curve, Frame.Y, y0, grid, scheme, seed)
+    return simulate_paths(params, curve, Frame.Y, y0, grid, 1, seed,
+                          scheme)[0]
 
 
 def simulate_x_path(params: ModelParams, curve: Curve, x0: float,
@@ -546,8 +491,8 @@ def simulate_x_path(params: ModelParams, curve: Curve, x0: float,
     if x0 < -float(curve.gamma(0.0)):
         raise ValueError(f"x0={x0} lies below the moving domain edge "
                          f"{-float(curve.gamma(0.0))}")
-    scheme = scheme or SchemeConfig()
-    return _single(params, curve, Frame.X, x0, grid, scheme, seed)
+    return simulate_paths(params, curve, Frame.X, x0, grid, 1, seed,
+                          scheme)[0]
 
 
 def simulate_dsr_path(params: ModelParams, curve: Curve, z0: float,
@@ -558,18 +503,16 @@ def simulate_dsr_path(params: ModelParams, curve: Curve, z0: float,
         raise MissingDsrC("params.dsr_c is not set")
     if z0 < 0:
         raise ValueError(f"z0 must be >= 0, got {z0}")
-    scheme = scheme or SchemeConfig()
-    return _single(params, curve, Frame.Y, math.sqrt(z0), grid, scheme, seed,
-                   dsr=True)
+    return simulate_paths(params, curve, Frame.Y, math.sqrt(z0), grid, 1,
+                          seed, scheme, dsr=True)[0]
 
 
 def square_path(y_path: Path) -> Path:
     """Square a Y-frame path elementwise into the R frame."""
     if y_path.frame is not Frame.Y:
         raise WrongFrame(f"square_path expects frame Y, got {y_path.frame.name}")
-    return Path(grid=y_path.grid, frame=Frame.R, seed=y_path.seed,
-                params=y_path.params, values=y_path.values ** 2,
-                gauss=y_path.gauss, reflections=y_path.reflections,
+    return Path(grid=y_path.grid, frame=Frame.R, params=y_path.params,
+                values=y_path.values ** 2, gauss=y_path.gauss,
                 lower_violations=y_path.lower_violations)
 
 
@@ -581,7 +524,7 @@ def _batches(params, curve, frame, x0, grid, n_paths, seed, scheme,
         yield _run_chunk(params, curve, frame, x0, grid, scheme, seed,
                          start=start, m=min(step, n_paths - start),
                          keep_values=keep_values, keep_gauss=keep_gauss,
-                         collect_events=False, dsr=dsr, draws=draws)
+                         dsr=dsr, draws=draws)
 
 
 def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
@@ -637,20 +580,17 @@ def simulate_terminals(params: ModelParams, curve: Curve, frame: Frame,
 
 def simulate_paths(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                    grid: GridSpec, n_paths: int, seed: int,
-                   scheme: SchemeConfig | None = None) -> list[Path]:
+                   scheme: SchemeConfig | None = None,
+                   dsr: bool = False) -> list[Path]:
     """Fully retained paths; each path k uses the derived seed (seed, k)."""
-    scheme = scheme or SchemeConfig()
-    out = []
-    for batch in simulate_chunks(params, curve, frame, x0, grid, n_paths, seed,
-                                 scheme, chunk_size=min(n_paths, 2000),
-                                 keep_values=True, keep_gauss=True):
-        for i in range(batch.terminals.size):
-            out.append(Path(grid=grid, frame=batch.frame,
-                            seed=int(batch.seeds[i]), params=params,
-                            values=batch.values[i], gauss=batch.gauss[i],
-                            reflections=ReflectionLog(),
-                            lower_violations=int(batch.lower_violations[i])))
-    return out
+    return [Path(grid=grid, frame=batch.frame, params=params,
+                 values=batch.values[i], gauss=batch.gauss[i],
+                 lower_violations=int(batch.lower_violations[i]))
+            for batch in simulate_chunks(params, curve, frame, x0, grid,
+                                         n_paths, seed, scheme,
+                                         keep_values=True, keep_gauss=True,
+                                         dsr=dsr)
+            for i in range(batch.terminals.size)]
 
 
 def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
@@ -680,8 +620,6 @@ def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
     band = scheme.band_width * c_diff
     bk = float(level)
     skew_on = bk > 0.0
-    delta_one = delta == 1.0
-    truncate = scheme.zero_handling == "truncate_at_zero"
     burn = int(burn_frac * n_steps)
 
     g = gauss.tolist()
@@ -700,11 +638,8 @@ def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
             adv = dv if dv >= 0 else -dv
             if du * dv < 0.0 or adu < band or adv < band:
                 v = bk + adv if uu[k] < p else bk - adv
-        if delta_one:
-            if v < 0.0:
-                v = -v
-        elif v < 0.0:
-            v = 0.0 if truncate else -v
+        if v < 0.0:
+            v = -v
         y = v
         if k >= burn and (k - burn) % thin == 0:
             out.append(y * y)
@@ -749,26 +684,3 @@ def exact_besq_step(params: ModelParams, z, t: float,
         return float(out)
     return out
 
-
-# --- binary path dump -------------------------------------------------------
-
-_MAGIC = b"SKWD"
-_VERSION = 1
-
-
-def write_path_dump(path: Path, fileobj) -> None:
-    """Little-endian dump: magic, version u32, n_steps u32, frame u8, values f64."""
-    fileobj.write(struct.pack("<4sIIB", _MAGIC, _VERSION, path.grid.n_steps,
-                              path.frame.value))
-    fileobj.write(np.asarray(path.values, dtype="<f8").tobytes())
-
-
-def read_path_dump(fileobj) -> tuple[Frame, np.ndarray]:
-    header = fileobj.read(struct.calcsize("<4sIIB"))
-    magic, version, n_steps, frame_val = struct.unpack("<4sIIB", header)
-    if magic != _MAGIC:
-        raise ValueError("not a path dump (bad magic)")
-    if version != _VERSION:
-        raise ValueError(f"unsupported dump version {version}")
-    values = np.frombuffer(fileobj.read(8 * (n_steps + 1)), dtype="<f8").copy()
-    return Frame(frame_val), values

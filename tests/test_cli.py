@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import pkgutil
 import tempfile
 
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skewdiff import experiments, paths
-from skewdiff.cli import _resolve_threads, main
-from skewdiff.errors import ConfigInvalid, UnknownKind
+from skewdiff.cli import main
+from skewdiff.errors import UnknownKind
 from skewdiff.experiments import (
     EXPERIMENTS,
     default_config,
@@ -73,9 +74,18 @@ class TestValidate:
         assert "identically zero" in result.stderr
 
     def test_missing_file_exits_two(self, tmp_path):
-        result = CliRunner().invoke(
-            main, ["validate", "--config", str(tmp_path / "nope.json")])
-        assert result.exit_code == 2
+        # a missing file, a directory and a file that is not UTF-8
+        (tmp_path / "latin1.json").write_bytes(
+            b'{"experiment": "cir-baseline", "seed": 0, "note": "\xe9"}')
+        for name in ("nope.json", ".", "latin1.json"):
+            path = str(tmp_path / name)
+            for cmd in (["validate", "--config", path],
+                        ["run", "--config", path, "--out",
+                         str(tmp_path / "out")]):
+                result = CliRunner().invoke(main, cmd)
+                assert result.exit_code == 2, (name, cmd[0], result.output)
+                assert isinstance(result.exception, SystemExit)
+                assert "invalid" in result.stderr
 
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -154,6 +164,35 @@ class TestRun:
         assert isinstance(result.exception, SystemExit)
         assert "invalid config" in result.stderr
         assert not (tmp_path / "report.json").exists()
+
+    def test_out_naming_a_file_exits_two_before_running(self, tmp_path,
+                                                         monkeypatch):
+        ran = []
+        monkeypatch.setitem(
+            experiments._RUNNERS, "cir-baseline",
+            lambda cfg, model, threads: ran.append(1) or ({}, [], {}))
+        cfg_path = _write_config(tmp_path, SMALL_CIR)
+        out = tmp_path / "taken"
+        out.write_text("")
+        result = CliRunner().invoke(
+            main, ["run", "--config", cfg_path, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "output directory" in result.stderr
+        assert not ran
+
+    def test_failed_write_exits_three(self, tmp_path, monkeypatch):
+        # report.json is taken by a directory
+        monkeypatch.setitem(
+            experiments._RUNNERS, "cir-baseline",
+            lambda cfg, model, threads: ({"x": {"value": 1.0}}, [], {}))
+        cfg_path = _write_config(tmp_path, SMALL_CIR)
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        result = CliRunner().invoke(
+            main, ["run", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "cannot write" in result.stderr
 
     def test_seed_override(self, tmp_path):
         cfg_path = _write_config(tmp_path, SMALL_CIR)
@@ -410,17 +449,6 @@ class TestThreadReproducibility:
             dumps[threads] = json.dumps(report, sort_keys=True)
         assert dumps[1] == dumps[2]
 
-    def test_env_variable_parsed(self, monkeypatch):
-        monkeypatch.delenv("SKEWDIFF_THREADS", raising=False)
-        assert _resolve_threads(None) == 1
-        assert _resolve_threads(4) == 4
-        monkeypatch.setenv("SKEWDIFF_THREADS", "6")
-        assert _resolve_threads(None) == 6
-        assert _resolve_threads(2) == 2
-        monkeypatch.setenv("SKEWDIFF_THREADS", "many")
-        with pytest.raises(ConfigInvalid):
-            _resolve_threads(None)
-
 
 # Small configs whose reports and plot rows (minus runtime and versions)
 # are pinned to the digests of the code before the local-time estimators
@@ -474,6 +502,16 @@ class TestBenchmarkHooks:
         for mod_name, attr, *_ in layers.HOOKS + layers.GENERATOR_HOOKS:
             assert hasattr(importlib.import_module(mod_name), attr), \
                 (mod_name, attr)
+
+
+class TestExports:
+    def test_all_names_resolve(self):
+        import skewdiff
+
+        for info in pkgutil.iter_modules(skewdiff.__path__):
+            mod = importlib.import_module(f"skewdiff.{info.name}")
+            for name in getattr(mod, "__all__", ()):
+                assert hasattr(mod, name), (info.name, name)
 
 
 class TestPlotData:

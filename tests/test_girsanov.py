@@ -18,7 +18,6 @@ from skewdiff.paths import (
     Frame,
     GridSpec,
     Path,
-    ReflectionLog,
     simulate_paths,
     simulate_x_path,
     simulate_y_path,
@@ -54,9 +53,8 @@ class TestWeightBasics:
         with pytest.raises(WrongFrame):
             girsanov_weight(y, curve, params)
         x = simulate_x_path(params, curve, 1.0, GridSpec(1.0, 64), seed=3)
-        stripped = Path(grid=x.grid, frame=x.frame, seed=x.seed,
-                        params=x.params, values=x.values, gauss=None,
-                        reflections=ReflectionLog())
+        stripped = Path(grid=x.grid, frame=x.frame, params=x.params,
+                        values=x.values, gauss=None)
         with pytest.raises(MissingDraws):
             girsanov_weight(stripped, curve, params)
 
@@ -77,9 +75,8 @@ class TestWeightBasics:
         curve = _linear_curve()
         grid = GridSpec(1.0, 128)
         n = grid.n_steps
-        flat = Path(grid=grid, frame=Frame.X, seed=0, params=params,
-                    values=np.full(n + 1, 1.0), gauss=np.zeros(n),
-                    reflections=ReflectionLog())
+        flat = Path(grid=grid, frame=Frame.X, params=params,
+                    values=np.full(n + 1, 1.0), gauss=np.zeros(n))
         w = girsanov_weight(flat, curve, params)
         assert w.stochastic_term == 0.0
         assert 0.0 < w.weight < 1.0
@@ -200,9 +197,8 @@ class TestReweightedExpectation:
         # synthetic paths with enormous opposing draws: one dominant weight
         for i in range(12):
             g = np.full(n, -30.0 if i == 0 else 30.0)
-            paths.append(Path(grid=grid, frame=Frame.X, seed=i, params=params,
-                              values=np.full(n + 1, 1.0), gauss=g,
-                              reflections=ReflectionLog()))
+            paths.append(Path(grid=grid, frame=Frame.X, params=params,
+                              values=np.full(n + 1, 1.0), gauss=g))
         with pytest.raises(DegenerateWeights):
             reweighted_expectation(lambda x: x, paths, curve)
 

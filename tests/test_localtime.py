@@ -13,13 +13,18 @@ from skewdiff.localtime import (
     export_localtime_csv,
     markovian_from_symmetric,
     occupation_estimate,
-    occupation_lower,
-    occupation_upper,
     relation_ratios,
     tanaka_residual,
 )
 from skewdiff.model import builtin_curve, validate_params
-from skewdiff.paths import Frame, GridSpec, Path, ReflectionLog, simulate_y_path, square_path
+from skewdiff.paths import (
+    Frame,
+    GridSpec,
+    Path,
+    simulate_paths,
+    simulate_y_path,
+    square_path,
+)
 
 CONSTANT_ONE = builtin_curve("constant", 4.0, level=1.0)
 PARAMS = validate_params(2.0, 2.0, 1.0, 0.75)
@@ -28,13 +33,18 @@ PARAMS = validate_params(2.0, 2.0, 1.0, 0.75)
 def _synthetic_path(values, T=1.0, frame=Frame.Y, params=PARAMS):
     values = np.asarray(values, dtype=float)
     grid = GridSpec(T=T, n_steps=values.size - 1)
-    return Path(grid=grid, frame=frame, seed=0, params=params, values=values,
-                gauss=np.zeros(values.size - 1), reflections=ReflectionLog())
+    return Path(grid=grid, frame=frame, params=params, values=values,
+                gauss=np.zeros(values.size - 1))
 
 
-def _skew_path(n_steps=2 ** 13, seed=0, params=PARAMS, T=2.0):
-    grid = GridSpec(T=T, n_steps=n_steps)
-    return simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=seed)
+def _skew_paths(n, n_steps, params=PARAMS, curve=CONSTANT_ONE, y0=1.0):
+    """n Y-frame paths on [0, 2], one batch at root seed 0."""
+    return simulate_paths(params, curve, Frame.Y, y0,
+                          GridSpec(T=2.0, n_steps=n_steps), n, 0)
+
+
+def _skew_path(n_steps=2 ** 13):
+    return _skew_paths(1, n_steps)[0]
 
 
 class TestOccupation:
@@ -48,14 +58,13 @@ class TestOccupation:
         # indicator fires every step: upper mass (sigma^2/4) * t / eps
         path = _synthetic_path(np.full(101, 1.0), T=1.0)
         eps = 0.05
-        est = occupation_upper(path, 1.0, eps)
+        est = occupation_estimate(path, 1.0, eps)
         expected = PARAMS.sigma ** 2 / 4.0 * 1.0 / eps
         assert est.upper[-1] == pytest.approx(expected)
-        assert est.lower is not None and est.lower[-1] == 0.0
 
     def test_lower_mirror(self):
         path = _synthetic_path(np.full(101, 0.98), T=1.0)
-        est = occupation_lower(path, 1.0, eps=0.05)
+        est = occupation_estimate(path, 1.0, eps=0.05)
         assert est.lower[-1] > 0.0
         assert est.upper[-1] == 0.0
 
@@ -84,8 +93,7 @@ class TestOccupation:
         # the barrier level set is Lebesgue-null: halving the band must
         # shrink the occupation fraction to at most 0.75 of itself on average
         fractions = {0.5: [], 1.0: []}
-        for seed in range(20):
-            path = _skew_path(n_steps=2 ** 12, seed=seed)
+        for path in _skew_paths(20, 2 ** 12):
             eps = default_band(path)
             diff = np.abs(path.values[:-1] - 1.0)
             for mult in fractions:
@@ -113,9 +121,7 @@ class TestTanaka:
         # level is away from any mirror barrier so both are applicable
         curve = builtin_curve("constant", 4.0, level=0.0)
         occ_t, tan_t = [], []
-        for seed in range(40):
-            path = simulate_y_path(PARAMS, curve, 1.0, GridSpec(2.0, 2 ** 13),
-                                   seed=seed)
+        for path in _skew_paths(40, 2 ** 13, curve=curve):
             eps = default_band(path)
             occ_t.append(occupation_estimate(path, 1.0, eps).symmetric[-1])
             tan_t.append(tanaka_residual(path, 1.0).symmetric[-1])
@@ -149,8 +155,7 @@ class TestRelloc:
 
     def test_residual_small_on_skew_paths(self):
         residuals = []
-        for seed in range(10):
-            y = _skew_path(n_steps=2 ** 14, seed=seed)
+        for y in _skew_paths(10, 2 ** 14):
             eps = default_band(y)
             rep = check_relloc(square_path(y), y, CONSTANT_ONE, eps)
             residuals.append(rep.residual)
@@ -161,9 +166,7 @@ class TestRelloc:
         params = validate_params(2.0, 2.0, 0.25, 0.75)
         curve = builtin_curve("constant", 2.0, level=2.0)
         factors = []
-        for seed in range(10):
-            y = simulate_y_path(params, curve, 2.0, GridSpec(2.0, 2 ** 14),
-                                seed=seed)
+        for y in _skew_paths(10, 2 ** 14, params, curve, y0=2.0):
             eps = default_band(y)
             rep = check_relloc(square_path(y), y, curve, eps)
             sym = occupation_estimate(y, 2.0, eps).symmetric[-1]
@@ -176,21 +179,18 @@ class TestRelationRatios:
     def test_symmetric_p_targets_one(self):
         params = validate_params(2.0, 2.0, 1.0, 0.5)
         ratios = []
-        for seed in range(10):
-            path = simulate_y_path(params, CONSTANT_ONE, 1.0,
-                                   GridSpec(2.0, 2 ** 13), seed=seed)
+        for path in _skew_paths(10, 2 ** 13, params):
             est = occupation_estimate(path, 1.0, default_band(path))
-            ratios.append(relation_ratios(est, 0.5))
+            ratios.append(relation_ratios(est))
         up, lo = np.mean(ratios, axis=0)
         assert up == pytest.approx(1.0, rel=0.1)
         assert lo == pytest.approx(1.0, rel=0.1)
 
     def test_skew_targets(self):
         ratios = []
-        for seed in range(20):
-            path = _skew_path(n_steps=2 ** 13, seed=seed)
+        for path in _skew_paths(20, 2 ** 13):
             est = occupation_estimate(path, 1.0, default_band(path))
-            ratios.append(relation_ratios(est, 0.75))
+            ratios.append(relation_ratios(est))
         up, lo = np.mean(ratios, axis=0)
         assert up == pytest.approx(1.5, rel=0.10)
         assert lo == pytest.approx(0.5, rel=0.10)
@@ -199,7 +199,7 @@ class TestRelationRatios:
         path = _synthetic_path(np.full(65, 5.0))
         est = occupation_estimate(path, 1.0, 0.01)
         with pytest.raises(ZeroLocalTime):
-            relation_ratios(est, 0.75)
+            relation_ratios(est)
 
 
 class TestMarkovian:

@@ -1,7 +1,6 @@
-"""Path engine: positivity, determinism, weak-convergence and dump format."""
+"""Path engine: positivity, determinism and weak convergence."""
 
 import hashlib
-import io
 import math
 import threading
 import time
@@ -20,7 +19,6 @@ from skewdiff.paths import (
     SchemeConfig,
     exact_besq_step,
     exact_cir_step,
-    read_path_dump,
     simulate_chunks,
     simulate_dsr_path,
     simulate_long_run_squared,
@@ -29,7 +27,6 @@ from skewdiff.paths import (
     simulate_x_path,
     simulate_y_path,
     square_path,
-    write_path_dump,
 )
 from skewdiff.rng import (
     derive_seed,
@@ -117,15 +114,12 @@ class TestSchemeConfig:
         scheme = SchemeConfig()
         assert scheme.band_width == 3.0
         assert scheme.drift_mode == "explicit"
-        assert scheme.zero_handling == "reflect_abs"
 
     def test_rejects_unknown_modes(self):
         with pytest.raises(ValueError):
             SchemeConfig(band_width=-1.0)
         with pytest.raises(ValueError):
             SchemeConfig(drift_mode="magic")
-        with pytest.raises(ValueError):
-            SchemeConfig(zero_handling="wrap")
 
 
 class TestSeeding:
@@ -223,6 +217,30 @@ class TestGoldenStreams:
         assert _digest(*arrays) == ("ca4f1c13582aa748fd9d181e0e98c327"
                                     "473c9d121ab0a62bb92ee6f7255a9651")
 
+    def test_single_paths(self):
+        # values and draws of the three one-path entry points
+        grid = GridSpec(1.0, 256)
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        linear = builtin_curve("linear", 1.0, intercept=1.0, slope=0.3)
+        dsr = validate_params(2.0, 2.0, 0.0, 0.7, dsr_c=1.0)
+        got = [
+            simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=7),
+            simulate_x_path(params, linear, 1.0, grid, seed=7),
+            simulate_dsr_path(dsr, CONSTANT_ONE, 1.0, grid,
+                              SchemeConfig(drift_mode="implicit_sqrt_term"),
+                              seed=7),
+        ]
+        want = [
+            ("4bffdbaacdee13f6d87423a055b2ab12"
+             "4ad9b5703d3af54edbdb69289079129f", 1),
+            ("f6d5f53590352cfe95447fc4e78eabb8"
+             "2adbfa4721ea67f25e31699a9a931a06", 3),
+            ("6ebb926f856184faec8f628e1e4bddb7"
+             "fdb4a8e7517a7a7c7261c9bd7bc6da31", 8),
+        ]
+        assert [(_digest(p.values, p.gauss), p.lower_violations)
+                for p in got] == want
+
 
 class TestYPath:
     def test_positivity_and_shapes(self):
@@ -257,10 +275,9 @@ class TestYPath:
     def test_reflection_events_recorded(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         grid = GridSpec(T=1.0, n_steps=1024)
-        path = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=2)
-        assert path.reflections.count > 0
-        assert set(np.unique(path.reflections.sides)) <= {-1, 1}
-        assert np.all(path.reflections.overshoots >= 0.0)
+        (batch,) = simulate_chunks(params, CONSTANT_ONE, Frame.Y, 1.0, grid,
+                                   1, 2)
+        assert batch.reflection_counts[0] > 0
 
     def test_brownian_increments_scale(self):
         params = validate_params(2.0, 2.0, 0.0, 0.5)
@@ -324,7 +341,7 @@ class TestSquarePath:
         r = square_path(y)
         assert r.frame is Frame.R
         assert np.array_equal(r.values, y.values ** 2)
-        assert r.seed == y.seed
+        assert r.gauss is y.gauss
 
     def test_wrong_frame(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
@@ -524,29 +541,3 @@ class TestBatching:
                                             31, burn_frac=0.0, thin=1)
         assert np.allclose(samples, path.values[1:] ** 2, rtol=1e-10, atol=1e-12)
 
-
-class TestPathDump:
-    def test_roundtrip(self):
-        params = validate_params(2.0, 2.0, 1.0, 0.7)
-        path = simulate_y_path(params, CONSTANT_ONE, 1.0, GridSpec(1.0, 64),
-                               seed=17)
-        buf = io.BytesIO()
-        write_path_dump(path, buf)
-        buf.seek(0)
-        frame, values = read_path_dump(buf)
-        assert frame is Frame.Y
-        assert np.array_equal(values, path.values)
-
-    def test_header_layout(self):
-        params = validate_params(2.0, 2.0, 1.0, 0.7)
-        path = simulate_y_path(params, CONSTANT_ONE, 1.0, GridSpec(1.0, 8),
-                               seed=0)
-        buf = io.BytesIO()
-        write_path_dump(path, buf)
-        raw = buf.getvalue()
-        assert raw[:4] == b"SKWD"
-        assert len(raw) == 13 + 8 * 9  # header + (n_steps+1) doubles
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            read_path_dump(io.BytesIO(b"XXXX" + b"\x00" * 16))
