@@ -19,6 +19,7 @@ from .experiments import (
     PLOT_KINDS,
     emit_plot_data,
     normalize_config,
+    output_file,
     run_experiment,
 )
 
@@ -112,12 +113,17 @@ def run(config_path, seed, threads, out_dir):
         click.echo("runtime failure: the report or its plot data holds a "
                    "non-finite number; nothing written", err=True)
         sys.exit(3)
+    # report.json goes last, and a failed write removes what this run wrote,
+    # so a report on disk always comes with all of its plot data
+    written = []
     try:
-        with open(os.path.join(out, "report.json"), "w") as fh:
-            fh.write(text + "\n")
         for kind in bundle["plot_data"]:
-            emit_plot_data(bundle, kind, out)
+            written.append(emit_plot_data(bundle, kind, out))
+        with output_file(os.path.join(out, "report.json")) as fh:
+            fh.write(text + "\n")
     except OSError as exc:
+        for path in written:
+            os.remove(path)
         click.echo(f"runtime failure: cannot write to {out}: {exc.strerror}",
                    err=True)
         sys.exit(3)

@@ -9,7 +9,9 @@ per-path streams, so reports are reproducible across runs and thread counts.
 from __future__ import annotations
 
 import math
+import os
 import time
+from contextlib import contextmanager
 from copy import deepcopy
 
 import numpy as np
@@ -86,11 +88,10 @@ def _closed(properties: dict, required=()) -> dict:
             "properties": properties, "required": list(required)}
 
 
-# Each experiment's options, checked on the merged config; relations
+# The options of each experiment that has them, checked on the merged
+# config (an experiment without options takes no "options" key); relations
 # between fields are checked by _RELATIONS once the model is built.
 OPTIONS_SCHEMAS = {
-    "cir-baseline": _closed({}),
-    "besq-law": _closed({}),
     "stationary-skew": _closed({
         "burn_frac": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
         "thin": _STEPS,
@@ -101,7 +102,6 @@ OPTIONS_SCHEMAS = {
     "localtime-ratios": _closed({"coarse_n_steps": _STEPS, "rtol": _NONNEG}),
     "relloc-identity": _closed({"coarse_n_steps": _STEPS,
                                 "max_residual": _NONNEG}),
-    "girsanov-consistency": _closed({}),
     "pde-cross-check": _closed({
         "x_max": _POSITIVE,
         "n_x": {"type": "integer", "minimum": 200},
@@ -184,7 +184,6 @@ DEFAULT_CONFIGS = {
         "params": dict(_BASE_MODEL),
         "curve": {"kind": "constant", "level": 1.0},
         "grid": {"T": 5000.0, "n_steps": 5000 * 256},
-        "n_paths": 1,
         "x0": 1.0,
         "options": {"burn_frac": 0.1, "thin": 100, "level": 0.01,
                     "ratio_rtol": 0.10},
@@ -242,8 +241,6 @@ DEFAULT_CONFIGS = {
         "params": dict(_BASE_MODEL),
         "curve": {"kind": "constant", "level": 1.0},
         "grid": {"T": 1.0, "n_steps": 256},
-        "n_paths": 1,
-        "x0": 1.0,
         "options": {"n_random_curves": 50},
     },
 }
@@ -387,6 +384,11 @@ def _prepare(config: dict) -> tuple[dict, tuple[ModelParams, Curve, GridSpec]]:
     _validate(config, CONFIG_SCHEMA)
     name = config["experiment"]
     cfg = default_config(name)
+    # an experiment reads exactly the fields its defaults hold
+    unread = sorted(set(config) - set(cfg) - {"output_dir"})
+    if unread:
+        raise ConfigInvalid(f"config error at {unread[0]}: {name} does not "
+                            "read this field")
     curve = config.get("curve", {})
     if _curve_kind({**cfg["curve"], **curve}) != _curve_kind(cfg["curve"]):
         cfg["curve"] = {}
@@ -396,11 +398,15 @@ def _prepare(config: dict) -> tuple[dict, tuple[ModelParams, Curve, GridSpec]]:
         raise ConfigInvalid(f"config error at curve/kind: unknown curve "
                             f"{kind!r}; known: {', '.join(CURVE_SCHEMAS)}")
     _validate(cfg["curve"], CURVE_SCHEMAS[kind], "curve")
-    _validate(cfg.get("options", {}), OPTIONS_SCHEMAS[name], "options")
-    if cfg["n_paths"] < _MIN_PATHS.get(name, 1):
+    if "options" in cfg:
+        _validate(cfg["options"], OPTIONS_SCHEMAS[name], "options")
+    if name in _MIN_PATHS and cfg["n_paths"] < _MIN_PATHS[name]:
         raise ConfigInvalid(f"config error at n_paths: {name} needs at least "
                             f"{_MIN_PATHS[name]} paths")
     model = _build(cfg)
+    if name != "dsr-demo" and model[0].dsr_c is not None:
+        raise ConfigInvalid(f"config error at params/dsr_c: {name} simulates "
+                            "no double-square-root drift; only dsr-demo does")
     for check in _RELATIONS.get(name, ()):
         check(cfg, *model)
     return cfg, model
@@ -583,8 +589,8 @@ def _exp_girsanov_consistency(cfg, model, threads):
     logs = np.empty(n)
     f_vals = np.empty(n)
     for batch in simulate_chunks(params, curve, Frame.X, x0, grid, n,
-                                 cfg["seed"], chunk_size=10_000,
-                                 keep_gauss=True, threads=threads):
+                                 cfg["seed"], keep_gauss=True,
+                                 threads=threads):
         lw, _, _ = girsanov_log_weights(batch.gauss, curve, params, grid)
         sl = slice(batch.start_index, batch.start_index + batch.terminals.size)
         logs[sl] = lw
@@ -690,21 +696,23 @@ def _exp_dsr_demo(cfg, model, threads):
     # the explicit kick (delta-1)/Y can overshoot after reflections near 0
     scheme = SchemeConfig(drift_mode=str(opts["drift_mode"]))
 
+    def z_terminals(par, g, seed):
+        # Z = Y^2, with Y simulated under the drift constant of ``par``
+        y = simulate_terminals(par, curve, Frame.Y, math.sqrt(z0), g, n, seed,
+                               scheme, threads=threads)
+        return y * y
+
     # c = 0 reduces to the squared Bessel law
     params_c0 = validate_params(params.sigma, params.delta, 0.0, params.p,
                                 dsr_c=0.0)
-    z_term = simulate_terminals(params_c0, curve, Frame.Y, math.sqrt(z0), grid,
-                                n, cfg["seed"], scheme, threads=threads,
-                                dsr=True)
+    z_term = z_terminals(params_c0, grid, cfg["seed"])
     ks = ks_test(z_term, besq_terminal_cdf(params_c0, z0, grid.T))
 
     # moment self-consistency at c > 0: dE[Z]/dt = (sigma^2/4)(delta - c E[sqrt Z])
     h = float(opts["fd_h"])
     grids = {dt_key: GridSpec(T=grid.T + dt_key * h, n_steps=grid.n_steps)
              for dt_key in (-1, 0, 1)}
-    terms = {k: simulate_terminals(params, curve, Frame.Y, math.sqrt(z0), g,
-                                   n, cfg["seed"] + 10 + k, scheme,
-                                   threads=threads, dsr=True)
+    terms = {k: z_terminals(params, g, cfg["seed"] + 10 + k)
              for k, g in grids.items()}
     # not mean_se: se_lhs uses the ddof=0 variance and se_rhs scales the
     # standard deviation before dividing by sqrt(n)
@@ -840,10 +848,21 @@ def run_experiment(config: dict, threads: int = 1) -> dict:
 PLOT_KINDS = ("stationary-hist", "localtime", "pde-vs-mc")
 
 
+@contextmanager
+def output_file(path, newline=None):
+    """Open ``path`` for writing text; a write or close that fails removes it."""
+    fh = open(path, "w", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def emit_plot_data(bundle: dict, kind: str, out_dir) -> str:
     """Write one tidy CSV of plot-ready data; returns the file path."""
     import csv
-    import os
 
     if kind not in PLOT_KINDS:
         raise UnknownKind(f"unknown plot kind {kind!r}; known: {PLOT_KINDS}")
@@ -855,7 +874,7 @@ def emit_plot_data(bundle: dict, kind: str, out_dir) -> str:
     header, rows = plot_data[kind]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{kind}.csv")
-    with open(path, "w", newline="") as fh:
+    with output_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

@@ -40,17 +40,16 @@ class GirsanovWeight:
         return math.exp(self.log_weight)
 
 
-def drift_integrand(curve: Curve, params: ModelParams, t,
-                    dsr_c: float | None = None) -> np.ndarray:
+def drift_integrand(curve: Curve, params: ModelParams, t) -> np.ndarray:
     """h(t) = (8*gamma'(t) + sigma^2*b*gamma(t)) / (4*sigma).
 
-    With ``dsr_c`` set, the b*gamma term is replaced by the constant c
-    (the double-square-root drift variant).
+    With ``params.dsr_c`` set, the b*gamma term is replaced by the constant
+    c (the double-square-root drift variant).
     """
     t = np.asarray(t, dtype=float)
     gp = np.asarray(curve.gamma_deriv(t), dtype=float)
-    if dsr_c is not None:
-        extra = params.sigma ** 2 * dsr_c * np.ones_like(t)
+    if params.dsr_c is not None:
+        extra = params.sigma ** 2 * params.dsr_c * np.ones_like(t)
     else:
         extra = params.sigma ** 2 * params.b * np.asarray(curve.gamma(t), dtype=float)
     return (8.0 * gp + extra) / (4.0 * params.sigma)
@@ -64,15 +63,15 @@ def _check_path(path: Path):
 
 
 def girsanov_log_weights(gauss: np.ndarray, curve: Curve, params: ModelParams,
-                         grid, dsr_c: float | None = None):
+                         grid):
     """Vectorized log-weights for a (n_paths, n_steps) matrix of draws.
 
     Returns (log_weight, stochastic_term, compensator_term) arrays.
     """
     times = grid.times()
     dt = grid.dt
-    h_left = drift_integrand(curve, params, times[:-1], dsr_c)
-    h_all = drift_integrand(curve, params, times, dsr_c)
+    h_left = drift_integrand(curve, params, times[:-1])
+    h_all = drift_integrand(curve, params, times)
     # dB_j = sqrt(dt) * g_j, left-endpoint evaluation of h
     stoch = -math.sqrt(dt) * (gauss @ h_left)
     comp = -0.5 * float(np.trapezoid(h_all ** 2, dx=dt))

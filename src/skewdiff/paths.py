@@ -15,7 +15,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator
 
@@ -318,18 +318,14 @@ class _DrawPhase:
 def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                grid: GridSpec, scheme: SchemeConfig, root_seed: int,
                start: int, m: int, keep_values: bool, keep_gauss: bool,
-               dsr: bool, draws: _DrawPhase) -> PathBatch:
+               draws: _DrawPhase) -> PathBatch:
     n = grid.n_steps
     dt = grid.dt
     sig = params.sigma
     delta = params.delta
     p = params.p
     b = params.b
-    c_const = 0.0
-    if dsr:
-        if params.dsr_c is None:
-            raise MissingDsrC("simulate_dsr_path requires params.dsr_c")
-        c_const = params.dsr_c
+    c_const = 0.0 if params.dsr_c is None else params.dsr_c
 
     bar, low, gam, skew_on = _curve_tables(params, curve, grid, frame)
 
@@ -458,17 +454,8 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     if not np.all(np.isfinite(y)):
         raise SchemeDiverged(n - 1)
 
-    if dsr:
-        terminals = y * y
-        if keep_values:
-            vals = vals * vals
-        out_frame = Frame.Z_DSR
-    else:
-        terminals = y
-        out_frame = frame
-
-    return PathBatch(grid=grid, frame=out_frame, params=params,
-                     start_index=start, terminals=terminals,
+    return PathBatch(grid=grid, frame=frame, params=params,
+                     start_index=start, terminals=y,
                      values=vals, gauss=gauss,
                      reflection_counts=refl_counts,
                      lower_violations=viol_counts)
@@ -503,8 +490,9 @@ def simulate_dsr_path(params: ModelParams, curve: Curve, z0: float,
         raise MissingDsrC("params.dsr_c is not set")
     if z0 < 0:
         raise ValueError(f"z0 must be >= 0, got {z0}")
-    return simulate_paths(params, curve, Frame.Y, math.sqrt(z0), grid, 1,
-                          seed, scheme, dsr=True)[0]
+    path = simulate_paths(params, curve, Frame.Y, math.sqrt(z0), grid, 1,
+                          seed, scheme)[0]
+    return replace(path, frame=Frame.Z_DSR, values=path.values * path.values)
 
 
 def square_path(y_path: Path) -> Path:
@@ -516,23 +504,11 @@ def square_path(y_path: Path) -> Path:
                 lower_violations=y_path.lower_violations)
 
 
-def _batches(params, curve, frame, x0, grid, n_paths, seed, scheme,
-             chunk_size, keep_values, keep_gauss, dsr,
-             draws: _DrawPhase) -> Iterator[PathBatch]:
-    step = chunk_size or max(1, CHUNK_PATH_STEPS // grid.n_steps)
-    for start in range(0, n_paths, step):
-        yield _run_chunk(params, curve, frame, x0, grid, scheme, seed,
-                         start=start, m=min(step, n_paths - start),
-                         keep_values=keep_values, keep_gauss=keep_gauss,
-                         dsr=dsr, draws=draws)
-
-
 def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                     grid: GridSpec, n_paths: int, seed: int,
                     scheme: SchemeConfig | None = None,
                     chunk_size: int | None = None,
                     keep_values: bool = False, keep_gauss: bool = False,
-                    dsr: bool = False,
                     threads: int = 1) -> Iterator[PathBatch]:
     """Yield path batches in fixed index order (chunking-invariant streams).
 
@@ -548,16 +524,19 @@ def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     their values nor their layout depends on it.
     """
     scheme = scheme or SchemeConfig()
+    step = chunk_size or max(1, CHUNK_PATH_STEPS // grid.n_steps)
     with _DrawPhase(threads) as draws:
-        yield from _batches(params, curve, frame, x0, grid, n_paths, seed,
-                            scheme, chunk_size, keep_values, keep_gauss, dsr,
-                            draws)
+        for start in range(0, n_paths, step):
+            yield _run_chunk(params, curve, frame, x0, grid, scheme, seed,
+                             start=start, m=min(step, n_paths - start),
+                             keep_values=keep_values, keep_gauss=keep_gauss,
+                             draws=draws)
 
 
 def simulate_terminals(params: ModelParams, curve: Curve, frame: Frame,
                        x0: float, grid: GridSpec, n_paths: int, seed: int,
                        scheme: SchemeConfig | None = None,
-                       chunk_size: int | None = None, dsr: bool = False,
+                       chunk_size: int | None = None,
                        threads: int = 1) -> np.ndarray:
     """Terminal values of ``n_paths`` paths (memory-light batch run).
 
@@ -568,45 +547,38 @@ def simulate_terminals(params: ModelParams, curve: Curve, frame: Frame,
     may run on, make each chunk's draws; the step loop runs on the calling
     thread alone, so two step loops never contend for the interpreter lock.
     """
-    scheme = scheme or SchemeConfig()
     out = np.empty(n_paths)
-    with _DrawPhase(threads) as draws:
-        for batch in _batches(params, curve, frame, x0, grid, n_paths, seed,
-                              scheme, chunk_size, False, False, dsr, draws):
-            out[batch.start_index:batch.start_index + batch.terminals.size] = \
-                batch.terminals
+    for batch in simulate_chunks(params, curve, frame, x0, grid, n_paths, seed,
+                                 scheme, chunk_size, threads=threads):
+        out[batch.start_index:batch.start_index + batch.terminals.size] = \
+            batch.terminals
     return out
 
 
 def simulate_paths(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                    grid: GridSpec, n_paths: int, seed: int,
-                   scheme: SchemeConfig | None = None,
-                   dsr: bool = False) -> list[Path]:
+                   scheme: SchemeConfig | None = None) -> list[Path]:
     """Fully retained paths; each path k uses the derived seed (seed, k)."""
-    return [Path(grid=grid, frame=batch.frame, params=params,
+    return [Path(grid=grid, frame=frame, params=params,
                  values=batch.values[i], gauss=batch.gauss[i],
                  lower_violations=int(batch.lower_violations[i]))
             for batch in simulate_chunks(params, curve, frame, x0, grid,
                                          n_paths, seed, scheme,
-                                         keep_values=True, keep_gauss=True,
-                                         dsr=dsr)
+                                         keep_values=True, keep_gauss=True)
             for i in range(batch.terminals.size)]
 
 
 def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
                               dt: float, n_steps: int, seed: int,
-                              scheme: SchemeConfig | None = None,
                               burn_frac: float = 0.1,
                               thin: int = 100) -> np.ndarray:
     """Thinned samples of R = Y^2 from one long run at a constant barrier.
 
-    Scalar fast path for stationarity studies: same substeps and the same
-    per-path random stream as the batch engine, but a tight Python loop that
-    only stores every ``thin``-th squared state after burn-in.
+    Scalar fast path for stationarity studies: the explicit-drift substeps
+    of the default scheme and the same per-path random stream as the batch
+    engine, but a tight Python loop that only stores every ``thin``-th
+    squared state after burn-in.
     """
-    scheme = scheme or SchemeConfig()
-    if scheme.drift_mode != "explicit":
-        raise ValueError("long-run sampler supports explicit drift only")
     gen = path_generator(seed, 0)
     gauss = gen.standard_normal(n_steps)
     unif = gen.random(n_steps)
@@ -614,10 +586,11 @@ def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
     sig = params.sigma
     delta = params.delta
     b = params.b
+    c = 0.0 if params.dsr_c is None else params.dsr_c
     p = params.p
     c_drift = sig * sig / 8.0 * dt
     c_diff = 0.5 * sig * math.sqrt(dt)
-    band = scheme.band_width * c_diff
+    band = SchemeConfig().band_width * c_diff
     bk = float(level)
     skew_on = bk > 0.0
     burn = int(burn_frac * n_steps)
@@ -629,7 +602,7 @@ def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
     dm1 = delta - 1.0
     for k in range(n_steps):
         denom = y if y > _DRIFT_FLOOR else _DRIFT_FLOOR
-        u = y + c_drift * (dm1 / denom - b * y)
+        u = y + c_drift * (dm1 / denom - b * y - c)
         v = u + c_diff * g[k]
         if skew_on:
             du = u - bk

@@ -22,6 +22,7 @@ from skewdiff.experiments import (
     default_config,
     emit_plot_data,
     normalize_config,
+    output_file,
     run_experiment,
 )
 
@@ -194,6 +195,34 @@ class TestRun:
         assert isinstance(result.exception, SystemExit)
         assert "cannot write" in result.stderr
 
+    @pytest.mark.parametrize("taken", ["localtime.csv", "report.json"])
+    def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch,
+                                           taken):
+        # a directory sits where one output file goes: the plot data is
+        # written before report.json, and what was written is removed
+        plot = {"localtime": (["t", "upper", "lower", "symmetric"],
+                              [(0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.5, 0.5)])}
+        monkeypatch.setitem(
+            experiments._RUNNERS, "cir-baseline",
+            lambda cfg, model, threads: ({"x": {"value": 1.0}}, [], plot))
+        cfg_path = _write_config(tmp_path, SMALL_CIR)
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        result = CliRunner().invoke(
+            main, ["run", "--config", cfg_path, "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "cannot write" in result.stderr
+        assert [p.name for p in out.iterdir()] == [taken]
+
+    def test_output_file_removed_when_its_write_fails(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(OSError):
+            with output_file(path) as fh:
+                fh.write("{")
+                raise OSError(28, "No space left on device")
+        assert not path.exists()
+
     def test_seed_override(self, tmp_path):
         cfg_path = _write_config(tmp_path, SMALL_CIR)
         outs = {}
@@ -263,6 +292,15 @@ class TestValidateAgreesWithRun:
          "curve": {"kind": "linear", "intercept": 1.0, "slope": 0.001}},
         {"experiment": "pde-cross-check", "seed": 0,
          "curve": {"kind": "linear", "intercept": 1.0, "slope": 0.8}},
+        # a drift constant only dsr-demo simulates (was ok, then run at c = 0)
+        {"experiment": "cir-baseline", "seed": 3, "n_paths": 4000,
+         "grid": {"T": 1.0, "n_steps": 128}, "params": {"dsr_c": 1.0}},
+        {"experiment": "girsanov-consistency", "seed": 0,
+         "params": {"dsr_c": 1.0}},
+        # fields the experiment never reads (was ok)
+        {"experiment": "pde-cross-check", "seed": 0, "x0": 3.0},
+        {"experiment": "stationary-skew", "seed": 0, "n_paths": 100_000},
+        {"experiment": "regime-check", "seed": 0, "x0": 1.0},
     ])
     def test_both_exit_two_without_traceback(self, tmp_path, monkeypatch,
                                              cfg):
@@ -336,11 +374,12 @@ _CONFIGS = st.fixed_dictionaries(
     {
         "experiment": st.sampled_from(EXPERIMENTS),
         "seed": st.integers(0, 1000),
-        "n_paths": st.integers(1, 30),
         "grid": st.fixed_dictionaries({"T": _floats(0.05, 1.0),
                                        "n_steps": st.integers(1, 32)}),
     },
     optional={
+        # absent, so stationary-skew and regime-check configs reach run
+        "n_paths": st.integers(1, 30),
         "x0": _floats(-0.5, 2.0),
         "params": st.fixed_dictionaries({}, optional={
             "sigma": _floats(0.5, 3.0),
@@ -464,7 +503,7 @@ GOLDEN = {
                          "options": {"coarse_n_steps": 256}},
                         "23cc99c9c257a3e7da1bc60d4da9b7ba"
                         "8ad1279cc46fdc5dbcbd1d576c3d96e0"),
-    # 12,000 paths: two of its 10,000-path chunks
+    # 12,000 paths: one chunk of the path-step budget
     "girsanov-consistency": ({"n_paths": 12_000,
                               "grid": {"T": 1.0, "n_steps": 64}},
                              "4e034251e2424c55efe2e29d966af0b0"

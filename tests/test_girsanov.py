@@ -82,11 +82,12 @@ class TestWeightBasics:
         assert 0.0 < w.weight < 1.0
 
     def test_dsr_variant_replaces_b_term(self):
-        params = validate_params(2.0, 2.0, 1.0, 0.7, dsr_c=0.5)
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        params_c = validate_params(2.0, 2.0, 1.0, 0.7, dsr_c=0.5)
         curve = _linear_curve()
         t = np.linspace(0.0, 1.0, 9)
         h_b = drift_integrand(curve, params, t)
-        h_c = drift_integrand(curve, params, t, dsr_c=0.5)
+        h_c = drift_integrand(curve, params_c, t)
         gp = np.asarray(curve.gamma_deriv(t), dtype=float)
         gam = np.asarray(curve.gamma(t), dtype=float)
         assert np.allclose(h_b, (8 * gp + 4.0 * 1.0 * gam) / 8.0)

@@ -199,12 +199,12 @@ class TestGoldenStreams:
 
     def test_dsr_implicit_zero_barrier(self):
         params = validate_params(2.0, 2.0, 0.0, 0.5, dsr_c=1.0)
-        z = simulate_terminals(params, ZERO_CURVE, Frame.Y, 1.0,
+        y = simulate_terminals(params, ZERO_CURVE, Frame.Y, 1.0,
                                GridSpec(1.0, 64), 300, 7,
                                SchemeConfig(drift_mode="implicit_sqrt_term"),
-                               chunk_size=128, dsr=True)
-        assert _digest(z) == ("913dfd4b419e4d03a1e7dbb61d93b938"
-                              "534851d5ae35f60877d19de619e3e804")
+                               chunk_size=128)
+        assert _digest(y * y) == ("913dfd4b419e4d03a1e7dbb61d93b938"
+                                  "534851d5ae35f60877d19de619e3e804")
 
     def test_x_frame_moving_barrier_with_draws(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
@@ -533,11 +533,14 @@ class TestBatching:
         assert np.array_equal(np.array([p.values[-1] for p in paths]), terms)
 
     def test_long_run_sampler_matches_engine_stream(self):
-        # the scalar stationarity loop follows the same per-path stream
-        params = validate_params(2.0, 2.0, 1.0, 0.75)
+        # the scalar stationarity loop follows the same per-path stream,
+        # with and without the double-square-root drift constant
         grid = GridSpec(T=2.0, n_steps=512)
-        path = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=31)
-        samples = simulate_long_run_squared(params, 1.0, 1.0, grid.dt, 512,
-                                            31, burn_frac=0.0, thin=1)
-        assert np.allclose(samples, path.values[1:] ** 2, rtol=1e-10, atol=1e-12)
+        for c in (None, 0.5):
+            params = validate_params(2.0, 2.0, 1.0, 0.75, dsr_c=c)
+            path = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=31)
+            samples = simulate_long_run_squared(params, 1.0, 1.0, grid.dt,
+                                                512, 31, burn_frac=0.0, thin=1)
+            assert np.allclose(samples, path.values[1:] ** 2, rtol=1e-10,
+                               atol=1e-12)
 
