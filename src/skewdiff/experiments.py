@@ -33,9 +33,14 @@ from .errors import (
     ParamError,
     UnknownKind,
 )
-from .girsanov import girsanov_log_weights, self_normalized
-# check_relloc, occupation_estimate, simulate_paths and square_path are no
-# longer called here; perfbench/layers.py still hooks them in this module
+# check_relloc, girsanov_log_weights, occupation_estimate, simulate_paths and
+# square_path are no longer called here; perfbench/layers.py still hooks
+# them in this module
+from .girsanov import (
+    girsanov_log_weights,
+    log_weights_from_sums,
+    self_normalized,
+)
 from .localtime import (
     check_relloc,
     default_band,
@@ -589,9 +594,9 @@ def _exp_girsanov_consistency(cfg, model, threads):
     logs = np.empty(n)
     f_vals = np.empty(n)
     for batch in simulate_chunks(params, curve, Frame.X, x0, grid, n,
-                                 cfg["seed"], keep_gauss=True,
-                                 threads=threads):
-        lw, _, _ = girsanov_log_weights(batch.gauss, curve, params, grid)
+                                 cfg["seed"], threads=threads):
+        lw, _, _ = log_weights_from_sums(batch.girsanov_sums, curve, params,
+                                         grid)
         sl = slice(batch.start_index, batch.start_index + batch.terminals.size)
         logs[sl] = lw
         f_vals[sl] = payoff(batch.terminals + gam_t)

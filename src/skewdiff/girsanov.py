@@ -2,8 +2,10 @@
 
 The density removes the deterministic drift h(s) = (8*gamma'(s) +
 sigma^2*b*gamma(s)) / (4*sigma):  log dQ/dP = -int h dB - (1/2) int h^2 ds.
-The stochastic integral uses left-endpoint (Ito) sums over the retained
-Gaussian draws; the compensator uses the trapezoid rule.
+The stochastic integral uses left-endpoint (Ito) sums of h(t_k)*g_k over
+the Gaussian draws, added left to right: the path engine accumulates them in
+its step loop (``PathBatch.girsanov_sums``), and retained draws give the
+same sums bit for bit.  The compensator uses the trapezoid rule.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ import numpy as np
 
 from .analytics import mean_se
 from .errors import DegenerateWeights, MissingDraws, WrongFrame
-from .model import Curve, ModelParams
+from .model import Curve, ModelParams, drift_integrand
 from .paths import Frame, Path
 
 __all__ = [
     "GirsanovWeight",
     "girsanov_weight",
     "girsanov_log_weights",
+    "log_weights_from_sums",
+    "drift_integrand",
     "shifted_brownian",
     "reweighted_expectation",
     "self_normalized",
@@ -40,26 +44,25 @@ class GirsanovWeight:
         return math.exp(self.log_weight)
 
 
-def drift_integrand(curve: Curve, params: ModelParams, t) -> np.ndarray:
-    """h(t) = (8*gamma'(t) + sigma^2*b*gamma(t)) / (4*sigma).
-
-    With ``params.dsr_c`` set, the b*gamma term is replaced by the constant
-    c (the double-square-root drift variant).
-    """
-    t = np.asarray(t, dtype=float)
-    gp = np.asarray(curve.gamma_deriv(t), dtype=float)
-    if params.dsr_c is not None:
-        extra = params.sigma ** 2 * params.dsr_c * np.ones_like(t)
-    else:
-        extra = params.sigma ** 2 * params.b * np.asarray(curve.gamma(t), dtype=float)
-    return (8.0 * gp + extra) / (4.0 * params.sigma)
-
-
 def _check_path(path: Path):
     if path.frame is not Frame.X:
         raise WrongFrame(f"expected frame X, got {path.frame.name}")
     if path.gauss is None:
         raise MissingDraws("path does not retain its Gaussian draws")
+
+
+def log_weights_from_sums(sums: np.ndarray, curve: Curve,
+                          params: ModelParams, grid):
+    """Log-weights from each path's sum of h(t_k)*g_k over its steps.
+
+    Returns (log_weight, stochastic_term, compensator_term) arrays.
+    """
+    dt = grid.dt
+    h_all = drift_integrand(curve, params, grid.times())
+    # dB_j = sqrt(dt) * g_j, left-endpoint evaluation of h
+    stoch = -math.sqrt(dt) * sums
+    comp = -0.5 * float(np.trapezoid(h_all ** 2, dx=dt))
+    return stoch + comp, stoch, np.full_like(stoch, comp)
 
 
 def girsanov_log_weights(gauss: np.ndarray, curve: Curve, params: ModelParams,
@@ -68,14 +71,10 @@ def girsanov_log_weights(gauss: np.ndarray, curve: Curve, params: ModelParams,
 
     Returns (log_weight, stochastic_term, compensator_term) arrays.
     """
-    times = grid.times()
-    dt = grid.dt
-    h_left = drift_integrand(curve, params, times[:-1])
-    h_all = drift_integrand(curve, params, times)
-    # dB_j = sqrt(dt) * g_j, left-endpoint evaluation of h
-    stoch = -math.sqrt(dt) * (gauss @ h_left)
-    comp = -0.5 * float(np.trapezoid(h_all ** 2, dx=dt))
-    return stoch + comp, stoch, np.full_like(stoch, comp)
+    h_left = drift_integrand(curve, params, grid.times()[:-1])
+    # a running sum, as the path engine accumulates it
+    sums = np.cumsum(gauss * h_left, axis=1)[:, -1]
+    return log_weights_from_sums(sums, curve, params, grid)
 
 
 def girsanov_weight(x_path: Path, curve: Curve,

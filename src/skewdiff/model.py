@@ -34,6 +34,7 @@ __all__ = [
     "RegimeReport",
     "validate_params",
     "decompose_curve",
+    "drift_integrand",
     "builtin_curve",
     "curve_from_csv",
     "reference_density",
@@ -117,6 +118,22 @@ class Curve:
         """(lambda')^+ -- the weak derivative of the increasing part."""
         d = np.asarray(self.lambda_deriv(np.asarray(t, dtype=float)), dtype=float)
         return np.maximum(d, 0.0)
+
+
+def drift_integrand(curve: Curve, params: ModelParams, t) -> np.ndarray:
+    """h(t) = (8*gamma'(t) + sigma^2*b*gamma(t)) / (4*sigma).
+
+    The drift the change of measure between the frames X and Y removes (see
+    :mod:`skewdiff.girsanov`).  With ``params.dsr_c`` set, the b*gamma term
+    is replaced by the constant c (the double-square-root drift variant).
+    """
+    t = np.asarray(t, dtype=float)
+    gp = np.asarray(curve.gamma_deriv(t), dtype=float)
+    if params.dsr_c is not None:
+        extra = params.sigma ** 2 * params.dsr_c * np.ones_like(t)
+    else:
+        extra = params.sigma ** 2 * params.b * np.asarray(curve.gamma(t), dtype=float)
+    return (8.0 * gp + extra) / (4.0 * params.sigma)
 
 
 def decompose_curve(lambda_fn, lambda_deriv, T_max, quad_step=None) -> Curve:

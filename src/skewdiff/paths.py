@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BZero, MissingDsrC, SchemeDiverged, WrongFrame
-from .model import Curve, ModelParams
+from .model import Curve, ModelParams, drift_integrand
 from .rng import path_generator, path_states
 
 __all__ = [
@@ -46,8 +46,9 @@ __all__ = [
 _DRIFT_FLOOR = 1e-12
 
 # Default chunk, in path-steps: a chunk of m paths over n steps holds an
-# n x m float64 array of normals (two arrays with a live barrier), so this
-# bounds each at 64 MB whatever the grid.
+# n x m float64 array of normals (and an n x m bool array of mirror
+# decisions with a live barrier), so this bounds the normals at 64 MB
+# whatever the grid.
 CHUNK_PATH_STEPS = 1 << 23
 # Per-worker scratch block the draws are made in before the transposed copy
 _SCRATCH_BYTES = 1 << 19
@@ -63,6 +64,9 @@ _MIN_PARALLEL_ROW = 512
 # 4,096 hold 0.69 MB and take 0.53 ms (129 ns a path against 160).  Much
 # smaller calls pay fixed numpy costs: 3.5-6.7 us a path at 32-64 paths.
 _STATE_BATCH = 4096
+# Steps of the long-run sampler's draws turned into Python floats at a time:
+# stationary-skew's 1.28 M steps at once are about 82 MB of float objects.
+_LONG_RUN_BLOCK = 1 << 16
 
 
 class Frame(Enum):
@@ -129,7 +133,13 @@ class Path:
 
 @dataclass
 class PathBatch:
-    """A chunk of paths simulated together (values/gauss optional)."""
+    """A chunk of paths simulated together (values/gauss optional).
+
+    ``girsanov_sums`` holds each X-frame path's sum of h(t_k)*g_k over its
+    steps, accumulated left to right, for
+    :func:`skewdiff.girsanov.log_weights_from_sums`; it is None in the other
+    frames.
+    """
 
     grid: GridSpec
     frame: Frame
@@ -140,6 +150,7 @@ class PathBatch:
     gauss: np.ndarray | None
     reflection_counts: np.ndarray
     lower_violations: np.ndarray
+    girsanov_sums: np.ndarray | None
 
 
 def _curve_tables(params: ModelParams, curve: Curve, grid: GridSpec, frame: Frame):
@@ -156,14 +167,15 @@ def _curve_tables(params: ModelParams, curve: Curve, grid: GridSpec, frame: Fram
     return bar, low, gam, skew_on
 
 
-def _draw_rows(m: int, n: int) -> np.ndarray:
+def _draw_rows(m: int, n: int, dtype=float) -> np.ndarray:
     """Uninitialised m x n array with contiguous rows.
 
-    Rows are padded by one cache line: with a power-of-two row length the m
-    elements of a column fall into a handful of cache sets, and the
-    transposed copies and column reads of the engine would evict each other.
+    Rows are padded by one 64-byte cache line: with a power-of-two row
+    length the m elements of a column fall into a handful of cache sets, and
+    the transposed copies of the draw phase would evict each other.
     """
-    return np.empty((m, n + 8))[:, :n]
+    dtype = np.dtype(dtype)
+    return np.empty((m, n + 64 // dtype.itemsize), dtype)[:, :n]
 
 
 def _cpus() -> int:
@@ -217,26 +229,24 @@ def _direct_writes() -> bool:
 
 
 def _fill_block(root_seed: int, start: int, gauss: np.ndarray,
-                unif: np.ndarray | None, lo: int, hi: int,
+                flags: np.ndarray | None, p: float, lo: int, hi: int,
                 direct: bool) -> None:
     """Draw paths start+lo .. start+hi-1 into rows lo..hi-1 of the views.
 
     Each path's starting state is written into one ``PCG64``: straight into
     its memory when ``direct`` (no dict, and no call that hands the
     interpreter lock over), else through the ``state`` setter.  ``out=``
-    needs contiguous rows.  Path-major views have them; transposes of
-    step-major arrays do not, so their paths are drawn into a scratch block
-    of about _SCRATCH_BYTES and copied into place (np.copyto releases the
-    GIL).  The states are computed _STATE_BATCH paths at a time.
+    needs contiguous rows, which transposes of step-major arrays do not
+    have, so paths are drawn into a scratch block of about _SCRATCH_BYTES
+    and copied into place (np.copyto and np.less release the GIL).  A
+    path's uniforms follow its normals in its stream and are stored as the
+    mirror step's decisions ``u < p``.  The states are computed
+    _STATE_BATCH paths at a time.
     """
     n = gauss.shape[1]
-    in_place = gauss.strides[1] == gauss.itemsize
-    if in_place:
-        rows = hi - lo
-    else:
-        rows = max(1, min(hi - lo, _SCRATCH_BYTES // (8 * n)))
-        g_out = _draw_rows(rows, n)
-        u_out = None if unif is None else _draw_rows(rows, n)
+    rows = max(1, min(hi - lo, _SCRATCH_BYTES // (8 * n)))
+    g_out = _draw_rows(rows, n)
+    u_out = None if flags is None else _draw_rows(rows, n)
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     # one 32-byte item a path: state lo, state hi, inc lo, inc hi
@@ -247,9 +257,6 @@ def _fill_block(root_seed: int, start: int, gauss: np.ndarray,
             words = words.view("V32")[:, 0]
         for s in range(b, b + len(words), rows):
             e = min(s + rows, b + len(words))
-            if in_place:
-                g_out = gauss[s:e]
-                u_out = None if unif is None else unif[s:e]
             for i, w in enumerate(words[s - b:e - b]):
                 if cell is None:
                     bitgen.state = _state_dict(w)
@@ -258,22 +265,23 @@ def _fill_block(root_seed: int, start: int, gauss: np.ndarray,
                 gen.standard_normal(out=g_out[i])
                 if u_out is not None:
                     gen.random(out=u_out[i])
-            if not in_place:
-                np.copyto(gauss[s:e], g_out[:e - s])
-                if u_out is not None:
-                    np.copyto(unif[s:e], u_out[:e - s])
+            np.copyto(gauss[s:e], g_out[:e - s])
+            if u_out is not None:
+                np.less(u_out[:e - s], p, out=flags[s:e])
 
 
 class _DrawPhase:
     """Draw workers and step-major draw arrays shared by a run's chunks.
 
     Path k draws from ``PCG64(derive_seed(root, k))``: its normals, then its
-    uniforms when the barrier is live somewhere on the grid (the mirror step
-    is their only reader; skipping them moves no other number).  Each of up
-    to ``threads`` workers (no more than the CPUs this process may run on)
-    fills a disjoint block of paths; paths shorter than _MIN_PARALLEL_ROW
-    steps all go to one worker.  The arrays are reused by later chunks, so
-    their pages are faulted in once per run, not once per chunk.
+    uniforms when the barrier is live somewhere on the grid.  The mirror
+    step is the uniforms' only reader and compares them with p, so only that
+    comparison is kept, one byte a path-step (skipping the uniforms moves no
+    other number).  Each of up to ``threads`` workers (no more than the CPUs
+    this process may run on) fills a disjoint block of paths; paths shorter
+    than _MIN_PARALLEL_ROW steps all go to one worker.  The arrays are
+    reused by later chunks, so their pages are faulted in once per run, not
+    once per chunk.
     """
 
     def __init__(self, threads: int = 1):
@@ -289,16 +297,18 @@ class _DrawPhase:
         if self._pool is not None:
             self._pool.shutdown()
 
-    def step_major(self, name: str, n: int, m: int) -> np.ndarray:
+    def step_major(self, name: str, n: int, m: int,
+                   dtype=float) -> np.ndarray:
         """An (n, m) array, one step per row, kept for the next chunk."""
         arr = self._arrays.get(name)
         if arr is None or arr.shape[0] != n or arr.shape[1] < m:
-            arr = self._arrays[name] = _draw_rows(n, m)
+            arr = self._arrays[name] = _draw_rows(n, m, dtype)
         return arr[:, :m]
 
     def fill(self, root_seed: int, start: int, gauss: np.ndarray,
-             unif: np.ndarray | None) -> None:
-        """Draw path start+i into ``gauss[i]`` (and ``unif[i]``)."""
+             flags: np.ndarray | None, p: float) -> None:
+        """Draw path start+i into ``gauss[i]``, and with ``flags`` set
+        ``flags[i]`` to its uniforms' decisions ``u < p``."""
         m, n = gauss.shape
         direct = _direct_writes()
         parts = self.workers if n >= _MIN_PARALLEL_ROW else 1
@@ -306,10 +316,11 @@ class _DrawPhase:
         blocks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         if self._pool is None:
             for lo, hi in blocks:
-                _fill_block(root_seed, start, gauss, unif, lo, hi, direct)
+                _fill_block(root_seed, start, gauss, flags, p, lo, hi,
+                            direct)
             return
         futures = [self._pool.submit(_fill_block, root_seed, start, gauss,
-                                     unif, lo, hi, direct)
+                                     flags, p, lo, hi, direct)
                    for lo, hi in blocks]
         for fut in futures:
             fut.result()
@@ -329,21 +340,21 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 
     bar, low, gam, skew_on = _curve_tables(params, curve, grid, frame)
 
-    # Draw phase.  The step loop reads step k's draws as row k of an (n, m)
-    # array.  Kept normals are returned one path per row, so a chunk that
-    # keeps them draws both arrays path-major (the Girsanov sums over kept
-    # draws depend on their layout) and the loop reads them transposed.
-    live = skew_on.any()
-    if keep_gauss:
-        g_rows = gauss = _draw_rows(m, n)
-        unif = _draw_rows(m, n) if live else None
-    else:
-        gauss = None
-        g_rows = draws.step_major("gauss", n, m).T
-        unif = draws.step_major("unif", n, m).T if live else None
-    draws.fill(root_seed, start, g_rows, unif)
-    g_steps = g_rows.T
-    u_steps = None if unif is None else unif.T
+    # Draw phase.  The step loop reads step k's normals and mirror
+    # decisions as row k of (n, m) arrays; kept normals are returned as a
+    # path-major copy, one path per row.
+    g_steps = draws.step_major("gauss", n, m)
+    flags = draws.step_major("flags", n, m, bool) if skew_on.any() else None
+    draws.fill(root_seed, start, g_steps.T,
+               None if flags is None else flags.T, p)
+    gauss = g_steps.T.copy() if keep_gauss else None
+
+    # The moving frame's Girsanov sums of h(t_k)*g_k, added left to right
+    # from step 0's product, as girsanov_log_weights adds kept draws
+    sums = h_left = None
+    if frame is Frame.X:
+        h_left = drift_integrand(curve, params, grid.times()[:-1])
+        sums = g_steps[0] * h_left[0]
 
     # Step phase, on the calling thread.
     c_drift = sig * sig / 8.0
@@ -414,6 +425,9 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 
         np.multiply(g_steps[k], c_diff, out=v)
         np.add(u, v, out=v)
+        if k and sums is not None:
+            np.multiply(g_steps[k], h_left[k], out=t)
+            np.add(sums, t, out=sums)
 
         if skew_on[k]:
             bk = bar[k]
@@ -428,7 +442,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
             act |= act2
             idx = act.nonzero()[0]
             if idx.size:
-                side = np.where(u_steps[k][idx] < p, 1.0, -1.0)
+                side = np.where(flags[k][idx], 1.0, -1.0)
                 v[idx] = bk + side * dv[idx]
                 refl_counts[idx] += 1
         lk = low[k]
@@ -458,7 +472,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                      start_index=start, terminals=y,
                      values=vals, gauss=gauss,
                      reflection_counts=refl_counts,
-                     lower_violations=viol_counts)
+                     lower_violations=viol_counts, girsanov_sums=sums)
 
 
 def simulate_y_path(params: ModelParams, curve: Curve, y0: float,
@@ -514,14 +528,13 @@ def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 
     A chunk holds ``chunk_size`` paths, by default as many as fit
     ``CHUNK_PATH_STEPS`` path-steps.  Its m paths over n steps hold one
-    n x m float64 array of normals, plus one of uniforms when the barrier
-    is live somewhere on the grid; both are reused by the next chunk.
-    ``keep_gauss`` gives each chunk its own m x n arrays instead, one path
-    per row, and returns the normals as ``gauss`` (a view with contiguous
-    rows, not a copy); ``keep_values`` adds the m x (n+1) trajectories.
-    ``threads`` bounds the draw workers as in :func:`simulate_terminals`;
-    kept draws are filled in place by disjoint blocks of rows, so neither
-    their values nor their layout depends on it.
+    n x m float64 array of normals, plus an n x m bool array of mirror
+    decisions when the barrier is live somewhere on the grid; both are
+    reused by the next chunk.  ``keep_gauss`` returns each chunk's normals
+    as ``gauss``, an m x n copy with one path per row; ``keep_values`` adds
+    the m x (n+1) trajectories.  X-frame batches carry their Girsanov sums
+    whatever is kept.  ``threads`` bounds the draw workers as in
+    :func:`simulate_terminals`; nothing a batch holds depends on it.
     """
     scheme = scheme or SchemeConfig()
     step = chunk_size or max(1, CHUNK_PATH_STEPS // grid.n_steps)
@@ -595,27 +608,28 @@ def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
     skew_on = bk > 0.0
     burn = int(burn_frac * n_steps)
 
-    g = gauss.tolist()
-    uu = unif.tolist()
     y = float(y0)
     out = []
     dm1 = delta - 1.0
-    for k in range(n_steps):
-        denom = y if y > _DRIFT_FLOOR else _DRIFT_FLOOR
-        u = y + c_drift * (dm1 / denom - b * y - c)
-        v = u + c_diff * g[k]
-        if skew_on:
-            du = u - bk
-            dv = v - bk
-            adu = du if du >= 0 else -du
-            adv = dv if dv >= 0 else -dv
-            if du * dv < 0.0 or adu < band or adv < band:
-                v = bk + adv if uu[k] < p else bk - adv
-        if v < 0.0:
-            v = -v
-        y = v
-        if k >= burn and (k - burn) % thin == 0:
-            out.append(y * y)
+    for s in range(0, n_steps, _LONG_RUN_BLOCK):
+        g = gauss[s:s + _LONG_RUN_BLOCK].tolist()
+        uu = unif[s:s + _LONG_RUN_BLOCK].tolist()
+        for k, gk, uk in zip(range(s, s + len(g)), g, uu):
+            denom = y if y > _DRIFT_FLOOR else _DRIFT_FLOOR
+            u = y + c_drift * (dm1 / denom - b * y - c)
+            v = u + c_diff * gk
+            if skew_on:
+                du = u - bk
+                dv = v - bk
+                adu = du if du >= 0 else -du
+                adv = dv if dv >= 0 else -dv
+                if du * dv < 0.0 or adu < band or adv < band:
+                    v = bk + adv if uk < p else bk - adv
+            if v < 0.0:
+                v = -v
+            y = v
+            if k >= burn and (k - burn) % thin == 0:
+                out.append(y * y)
     if not math.isfinite(y):
         raise SchemeDiverged(n_steps - 1)
     return np.asarray(out)

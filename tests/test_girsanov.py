@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from skewdiff import paths
 from skewdiff.errors import DegenerateWeights, MissingDraws, WrongFrame
 from skewdiff.girsanov import (
     drift_integrand,
     girsanov_log_weights,
     girsanov_weight,
+    log_weights_from_sums,
     reweighted_expectation,
     shifted_brownian,
 )
@@ -18,6 +20,7 @@ from skewdiff.paths import (
     Frame,
     GridSpec,
     Path,
+    simulate_chunks,
     simulate_paths,
     simulate_x_path,
     simulate_y_path,
@@ -126,6 +129,44 @@ class TestMartingaleProperty:
         m2 = float(np.mean(w * w_t ** 2))
         se2 = float(np.std(w * w_t ** 2, ddof=1) / math.sqrt(n))
         assert abs(m2 - 1.0) <= 3.0 * se2
+
+
+class TestStreamedSums:
+    def test_invariant_to_chunks_and_threads(self, monkeypatch):
+        # the step loop's sums give the same log weights, bit for bit, for
+        # every chunk size and worker count, and the same as the kept
+        # draws; rows of 64 steps are split between two workers here
+        monkeypatch.setattr(paths, "_MIN_PARALLEL_ROW", 1)
+        monkeypatch.setattr(paths.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        curve = _linear_curve()
+        grid = GridSpec(1.0, 64)
+        n = 9192
+        runs = []
+        for chunk in (1000, 4097, 8192):
+            for threads in (1, 2):
+                logs, kept = np.empty(n), np.empty(n)
+                for batch in simulate_chunks(params, curve, Frame.X, 1.0,
+                                             grid, n, 11, chunk_size=chunk,
+                                             keep_gauss=True, threads=threads):
+                    sl = slice(batch.start_index,
+                               batch.start_index + batch.terminals.size)
+                    logs[sl] = log_weights_from_sums(
+                        batch.girsanov_sums, curve, params, grid)[0]
+                    kept[sl] = girsanov_log_weights(
+                        batch.gauss, curve, params, grid)[0]
+                assert np.array_equal(logs, kept)
+                runs.append(logs)
+        assert np.unique(runs[0]).size == n
+        for other in runs[1:]:
+            assert np.array_equal(runs[0], other)
+
+    def test_only_the_moving_frame_carries_sums(self):
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        batch, = simulate_chunks(params, _linear_curve(), Frame.Y, 1.0,
+                                 GridSpec(1.0, 16), 10, 3)
+        assert batch.girsanov_sums is None
 
 
 class TestShiftedBrownian:

@@ -55,7 +55,7 @@ def _inline_executor(made: list, blocks: list):
             made.append(max_workers)
 
         def submit(self, fn, *args):
-            blocks.append(args[4:6])
+            blocks.append(args[5:7])
             fut = Future()
             fut.set_result(fn(*args))
             return fut
@@ -66,27 +66,29 @@ def _inline_executor(made: list, blocks: list):
     return InlineExecutor
 
 
-def _check_draw_phase(monkeypatch, step_major, live, threads):
+def _check_draw_phase(monkeypatch, reused, live, threads):
     # scratch blocks of 7 paths and state words in batches of 11: m = 47 is
     # a multiple of neither these nor the per-worker share.  Rows of
-    # _MIN_PARALLEL_ROW steps, so two workers split the chunk.  Path-major
-    # arrays (kept draws) are drawn in place.
-    n, m, root, start = paths._MIN_PARALLEL_ROW, 47, 13, 1000
+    # _MIN_PARALLEL_ROW steps, so two workers split the chunk.  A reused
+    # draw phase fills the first m columns of arrays a wider chunk left.
+    # p = 0.3 makes both mirror decisions common.
+    n, m, root, start, p = paths._MIN_PARALLEL_ROW, 47, 13, 1000, 0.3
     monkeypatch.setattr(paths, "_SCRATCH_BYTES", 8 * n * 7)
     monkeypatch.setattr(paths, "_STATE_BATCH", 11)
     with paths._DrawPhase(threads) as draws:
-        if step_major:
-            gauss = draws.step_major("gauss", n, m).T
-            unif = draws.step_major("unif", n, m).T if live else None
-        else:
-            gauss = paths._draw_rows(m, n)
-            unif = paths._draw_rows(m, n) if live else None
-        draws.fill(root, start, gauss, unif)
+        for width, first in ((m + 13, 0),) * reused + ((m, start),):
+            gauss = draws.step_major("gauss", n, width).T
+            flags = draws.step_major("flags", n, width, bool).T if live \
+                else None
+            draws.fill(root, first, gauss, flags, p)
+    if live:
+        assert flags.dtype == bool
+        assert 0.2 < flags.mean() < 0.4
     for j in range(m):
         gen = path_generator(root, start + j)
         assert np.array_equal(gauss[j], gen.standard_normal(n))
         if live:
-            assert np.array_equal(unif[j], gen.random(n))
+            assert np.array_equal(flags[j], gen.random(n) < p)
 
 
 def _digest(*arrays) -> str:
@@ -153,20 +155,20 @@ class TestSeeding:
         want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("step_major", [True, False])
+    @pytest.mark.parametrize("reused", [True, False])
     @pytest.mark.parametrize("live", [True, False])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_draw_phase_follows_path_generator(self, monkeypatch, step_major,
+    def test_draw_phase_follows_path_generator(self, monkeypatch, reused,
                                                live, threads):
-        _check_draw_phase(monkeypatch, step_major, live, threads)
+        _check_draw_phase(monkeypatch, reused, live, threads)
 
-    @pytest.mark.parametrize("step_major", [True, False])
+    @pytest.mark.parametrize("reused", [True, False])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_draw_phase_state_setter_fallback(self, monkeypatch, step_major,
+    def test_draw_phase_state_setter_fallback(self, monkeypatch, reused,
                                               threads):
         # the state-write check failing sends every path through the setter
         monkeypatch.setattr(paths, "_direct_writes", lambda: False)
-        _check_draw_phase(monkeypatch, step_major, True, threads)
+        _check_draw_phase(monkeypatch, reused, True, threads)
 
     def test_state_write_check(self, monkeypatch):
         # this build's layout passes; a layout that stores each 128-bit word
@@ -505,12 +507,14 @@ class TestBatching:
                         (row, [(0, 150), (150, 300)])):
             blocks.clear()
             with paths._DrawPhase(2) as draws:
-                draws.fill(3, 0, draws.step_major("gauss", n, 300).T, None)
+                draws.fill(3, 0, draws.step_major("gauss", n, 300).T, None,
+                           0.5)
             assert blocks == want
 
     def test_kept_draws_invariant_to_threads(self, monkeypatch):
-        # path-major kept draws split across two workers at rows of
-        # _MIN_PARALLEL_ROW steps; draws and terminals equal one worker's
+        # kept draws are path-major copies of step-major blocks that two
+        # workers split at rows of _MIN_PARALLEL_ROW steps; draws and
+        # terminals equal one worker's
         monkeypatch.setattr(paths.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)
         params = validate_params(2.0, 2.0, 1.0, 0.7)
