@@ -12,7 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+# only scipy.special at import time: stats, optimize, integrate and sparse
+# cost more to import than most runs spend in them, so the oracles that use
+# them import them in their bodies
+from scipy import special
 
 from .errors import SeriesNotConverged, TooFewSamples
 from .model import ModelParams
@@ -27,6 +30,7 @@ __all__ = [
     "skew_bm_transition",
     "ks_test",
     "stationary_test",
+    "stationary_min_samples",
     "StationaryTestResult",
 ]
 
@@ -65,6 +69,17 @@ def cir_moments(params: ModelParams, z0: float, t: float) -> tuple[float, float]
     return mean, var
 
 
+def _poisson_weights(mu: float, jmax: int) -> tuple[np.ndarray, float]:
+    """Poisson(mu) pmf at 0..jmax and its mass above jmax.
+
+    The formulas of ``scipy.stats.poisson`` (its ``_logpmf`` and ``_sf``),
+    which they match bit for bit, without importing ``scipy.stats``.
+    """
+    js = np.arange(jmax + 1)
+    pmf = np.exp(special.xlogy(js, mu) - special.gammaln(js + 1) - mu)
+    return pmf, float(special.pdtrc(jmax, mu))
+
+
 def noncentral_chisq_cdf(dof: float, noncentrality: float, x,
                          tol: float = 1e-10, max_terms: int = 100000):
     """Poisson mixture of central chi-squared CDFs, to absolute tolerance.
@@ -88,8 +103,7 @@ def noncentral_chisq_cdf(dof: float, noncentrality: float, x,
     if jmax > max_terms:
         raise SeriesNotConverged(f"needs ~{jmax} terms, cap is {max_terms}")
     js = np.arange(jmax + 1)
-    weights = stats.poisson.pmf(js, half_nc)
-    tail = float(stats.poisson.sf(jmax, half_nc))
+    weights, tail = _poisson_weights(half_nc, jmax)
     if tail > tol:
         raise SeriesNotConverged(f"poisson tail {tail:.3e} above tolerance")
     terms = special.chdtr(dof + 2.0 * js[:, None], x[None, ...].reshape(1, -1))
@@ -140,6 +154,8 @@ def ks_test(samples, cdf, level: float = 0.01) -> TestResult:
     samples = np.asarray(samples, dtype=float)
     if samples.size < 10:
         raise TooFewSamples(f"need >= 10 samples, got {samples.size}")
+    from scipy import stats  # only scipy.stats has the exact KS p-value
+
     res = stats.kstest(samples, cdf)
     return TestResult(statistic=float(res.statistic), p_value=float(res.pvalue),
                       n=samples.size, passed=bool(res.pvalue > level),
@@ -194,24 +210,37 @@ def _integrated_autocorr(x: np.ndarray, max_lag: int = 200) -> float:
 @dataclass
 class StationaryTestResult:
     gof: TestResult
-    jump_ratio: float
+    jump_ratio: float | None  # None when a jump window holds no sample
     target_ratio: float
     autocorr_time: float
+    empty_window: str | None  # the first empty window, as "[lo, hi)"
+
+
+_STATIONARY_BINS = 40
+
+
+def stationary_min_samples(bins: int = _STATIONARY_BINS) -> int:
+    """Fewest samples :func:`stationary_test` accepts with ``bins`` bins."""
+    return max(10 * bins, 100)
 
 
 def stationary_test(samples, params: ModelParams, c: float,
-                    level: float = 0.01, bins: int = 40,
+                    level: float = 0.01, bins: int = _STATIONARY_BINS,
                     jump_window: float = 0.5) -> StationaryTestResult:
     """Goodness-of-fit of thinned samples against the invariant density.
 
     Chi-squared on equal-probability bins; the statistic is rescaled by the
     estimated integrated autocorrelation time since thinned samples from a
     single path stay correlated.  The jump ratio at the barrier compares
-    shape-corrected window counts on both sides of c against p/(1-p).
+    shape-corrected window counts on both sides of c against p/(1-p); it is
+    None when either window [c - h, c), [c, c + h) holds no sample.
     """
+    from scipy import optimize
+
     samples = np.asarray(samples, dtype=float)
-    if samples.size < max(10 * bins, 100):
-        raise TooFewSamples(f"need >= {max(10 * bins, 100)} samples")
+    need = stationary_min_samples(bins)
+    if samples.size < need:
+        raise TooFewSamples(f"need >= {need} samples")
     cdf = _stationary_cdf_factory(params, c)
 
     probs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
@@ -222,7 +251,7 @@ def stationary_test(samples, params: ModelParams, c: float,
     statistic = float(np.sum((counts - expected) ** 2 / expected))
     tau = _integrated_autocorr(samples)
     adj = statistic / tau
-    p_value = float(stats.chi2.sf(adj, bins - 1))
+    p_value = float(special.chdtrc(bins - 1, adj))  # chi2.sf(adj, bins - 1)
     gof = TestResult(statistic=adj, p_value=p_value, n=samples.size,
                      passed=bool(p_value > level), level=level)
 
@@ -231,10 +260,10 @@ def stationary_test(samples, params: ModelParams, c: float,
     n_above = int(np.sum((samples >= c) & (samples < c + h)))
     m_below = _gamma_mass(params.delta, params.b, max(c - h, 0.0), c)
     m_above = _gamma_mass(params.delta, params.b, c, c + h)
-    if n_below == 0:
-        ratio = math.inf
-    else:
-        ratio = (n_above / m_above) / (n_below / m_below)
-    return StationaryTestResult(gof=gof, jump_ratio=float(ratio),
+    empty = [f"[{lo:g}, {hi:g})" for n, lo, hi in
+             ((n_below, c - h, c), (n_above, c, c + h)) if n == 0]
+    ratio = None if empty else float((n_above / m_above) / (n_below / m_below))
+    return StationaryTestResult(gof=gof, jump_ratio=ratio,
                                 target_ratio=params.p / (1.0 - params.p),
-                                autocorr_time=tau)
+                                autocorr_time=tau,
+                                empty_window=empty[0] if empty else None)

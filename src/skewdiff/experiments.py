@@ -24,6 +24,7 @@ from .analytics import (
     cir_moments,
     ks_test,
     mean_se,
+    stationary_min_samples,
     stationary_test,
 )
 from .errors import (
@@ -61,6 +62,7 @@ from .paths import (
     Frame,
     GridSpec,
     SchemeConfig,
+    long_run_sample_count,
     simulate_chunks,
     simulate_long_run_squared,
     simulate_paths,
@@ -311,6 +313,14 @@ def _check_stationary(cfg, params, curve, grid):
     if not params.b > 0:
         raise ConfigInvalid("config error at params/b: stationary-skew needs "
                             "b > 0; for b = 0 there is no invariant law")
+    opts = cfg["options"]
+    n = long_run_sample_count(grid.n_steps, float(opts["burn_frac"]),
+                              int(opts["thin"]))
+    need = stationary_min_samples()
+    if n < need:
+        raise ConfigInvalid(f"config error at grid/n_steps: {grid.n_steps} "
+                            f"steps leave {n} samples after burn-in and "
+                            f"thinning; the stationary test needs >= {need}")
 
 
 def _lam_blocks(curve, grid, points):
@@ -479,22 +489,28 @@ def _exp_stationary_skew(cfg, model, threads):
         burn_frac=float(opts["burn_frac"]), thin=int(opts["thin"]))
     res = stationary_test(samples, params, c, level=float(opts["level"]))
     rtol = float(opts["ratio_rtol"])
-    ratio_err = abs(res.jump_ratio / res.target_ratio - 1.0)
     metrics = {
         "gof_statistic": _metric(res.gof.statistic),
         "gof_p_value": _metric(res.gof.p_value),
         "autocorr_time": _metric(res.autocorr_time),
-        "jump_ratio": _metric(res.jump_ratio),
         "target_jump_ratio": _metric(res.target_ratio),
         "n_samples": _metric(res.gof.n),
     }
+    if res.jump_ratio is None:
+        ratio_ok = False
+        ratio_detail = (f"no sample in the window {res.empty_window}, "
+                        f"target = {res.target_ratio:.3f}")
+    else:
+        metrics["jump_ratio"] = _metric(res.jump_ratio)
+        ratio_ok = abs(res.jump_ratio / res.target_ratio - 1.0) <= rtol
+        ratio_detail = (f"ratio = {res.jump_ratio:.3f}, "
+                        f"target = {res.target_ratio:.3f}")
     crit = [
         _criterion("chi-squared GOF against the invariant density passes",
                    res.gof.passed, f"level = {res.gof.level}",
                    f"p-value = {res.gof.p_value:.4f}"),
         _criterion("density jump ratio at the barrier within 10% of p/(1-p)",
-                   ratio_err <= rtol, f"relative {rtol}",
-                   f"ratio = {res.jump_ratio:.3f}, target = {res.target_ratio:.3f}"),
+                   ratio_ok, f"relative {rtol}", ratio_detail),
     ]
     # histogram vs target for plotting
     hist, edges = np.histogram(samples, bins=60, density=True)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     BNegative,
@@ -283,6 +282,8 @@ def stationary_density_constant_barrier(params: ModelParams, c, x):
     Proportional to ``x^(delta/2-1) * exp(-b x/2) * ((1-p) below c, p above)``;
     the normalization is computed by adaptive quadrature.  Requires b > 0.
     """
+    from scipy import integrate
+
     if params.b == 0:
         raise NotNormalizable("stationary density requires b > 0")
     c = float(c)

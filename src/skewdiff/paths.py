@@ -39,6 +39,7 @@ __all__ = [
     "simulate_terminals",
     "simulate_paths",
     "simulate_long_run_squared",
+    "long_run_sample_count",
     "exact_cir_step",
     "exact_besq_step",
 ]
@@ -579,6 +580,11 @@ def simulate_paths(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                                          n_paths, seed, scheme,
                                          keep_values=True, keep_gauss=True)
             for i in range(batch.terminals.size)]
+
+
+def long_run_sample_count(n_steps: int, burn_frac: float, thin: int) -> int:
+    """How many samples :func:`simulate_long_run_squared` returns."""
+    return -(-(n_steps - int(burn_frac * n_steps)) // thin)
 
 
 def simulate_long_run_squared(params: ModelParams, level: float, y0: float,

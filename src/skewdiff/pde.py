@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import splu
 
 from .analytics import mean_se
 from .errors import GridTooCoarse, TruncationTooClose, UnstableSolve
@@ -65,8 +63,10 @@ class PdeSolution:
         return float(np.interp(x0, self.x, self.u[0]))
 
 
-def _csr(bands: np.ndarray) -> csr_matrix:
+def _csr(bands: np.ndarray):
     """CSR matrix of (n, 5) bands at offsets -2..+2, exact zeros dropped."""
+    from scipy.sparse import csr_matrix
+
     n = bands.shape[0]
     cols = np.arange(n)[:, None] + np.arange(-2, 3)
     keep = (bands != 0.0) & (cols >= 0) & (cols < n)
@@ -123,6 +123,9 @@ def _build_matrices(params: ModelParams, x: np.ndarray, m_iface: int | None,
 def solve_backward(params: ModelParams, barrier_sq, payoff, T: float,
                    grid: PdeGrid) -> PdeSolution:
     """Value function u(t, x) = E[f(R_T) | R_t = x] on [0, T] x [0, x_max]."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     x = np.linspace(0.0, grid.x_max, grid.n_x)
     dt = T / grid.n_t
     t = np.linspace(0.0, T, grid.n_t + 1)

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 from skewdiff.analytics import (
+    _poisson_weights,
     besq_terminal_cdf,
     cir_moments,
     cir_terminal_cdf,
@@ -201,3 +202,42 @@ class TestStationaryTest:
         params = validate_params(2.0, 2.0, 1.0, 0.75)
         with pytest.raises(TooFewSamples):
             stationary_test(np.ones(50), params, 1.0)
+
+    def test_empty_window_gives_no_ratio(self):
+        # no sample in [c - h, c) = [0.5, 1): the ratio is undefined
+        params = validate_params(2.0, 2.0, 1.0, 0.75)
+        samples = self._samples(params, 1.0, 3000, 3)
+        res = stationary_test(samples[samples >= 1.0], params, 1.0)
+        assert res.jump_ratio is None
+        assert res.empty_window == "[0.5, 1)"
+        assert res.target_ratio == pytest.approx(3.0)
+        res = stationary_test(samples, params, 1.0)
+        assert res.jump_ratio is not None and res.empty_window is None
+
+    def test_p_value_is_scipy_chi2_sf(self):
+        params = validate_params(2.0, 2.0, 1.0, 0.75)
+        for seed in range(3):
+            res = stationary_test(self._samples(params, 1.0, 5000, seed),
+                                  params, 1.0)
+            assert res.gof.p_value == float(
+                stats.chi2.sf(res.gof.statistic, 39))
+
+
+class TestScipySpecialForms:
+    """The scipy.special forms used in place of scipy.stats laws give the
+    same bits; these catch a scipy release that changes either side."""
+
+    def test_poisson_weights_and_tail(self):
+        for mu in np.geomspace(1e-8, 500.0, 400):
+            # the term count noncentral_chisq_cdf uses for half_nc = mu
+            jmax = int(mu + 10.0 * math.sqrt(mu) + 50.0)
+            weights, tail = _poisson_weights(mu, jmax)
+            js = np.arange(jmax + 1)
+            assert np.array_equal(weights, stats.poisson.pmf(js, mu)), mu
+            assert tail == float(stats.poisson.sf(jmax, mu)), mu
+
+    def test_chi2_survival(self):
+        x = np.concatenate([np.geomspace(1e-6, 400.0, 2000), [0.0]])
+        for dof in (1, 39, 100):
+            assert np.array_equal(special.chdtrc(dof, x),
+                                  stats.chi2.sf(x, dof))

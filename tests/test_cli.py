@@ -7,6 +7,8 @@ import json
 import math
 import os
 import pkgutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skewdiff import experiments, paths
+from skewdiff.analytics import stationary_min_samples
 from skewdiff.cli import main
 from skewdiff.errors import UnknownKind
 from skewdiff.experiments import (
@@ -132,17 +135,64 @@ class TestRun:
         assert result.exit_code == 2
 
     def test_runtime_failure_exit_three(self, tmp_path):
-        # horizon far too short for the thinning: no usable samples remain
+        # a start so far out that the chi-squared series oracle would need
+        # more terms than its cap
         cfg = {
-            "experiment": "stationary-skew",
+            "experiment": "besq-law",
             "seed": 0,
-            "grid": {"T": 1.0, "n_steps": 256},
+            "x0": 1e6,
+            "n_paths": 200,
+            "grid": {"T": 1.0, "n_steps": 16},
         }
         cfg_path = _write_config(tmp_path, cfg)
         result = CliRunner().invoke(
             main, ["run", "--config", cfg_path, "--out", str(tmp_path)])
         assert result.exit_code == 3
         assert "runtime failure" in result.stderr
+        assert not (tmp_path / "report.json").exists()
+
+    def test_too_few_stationary_samples_exit_two(self, tmp_path):
+        # the sample count follows from n_steps, burn_frac and thin, so the
+        # config is refused before anything runs (was exit 3 at runtime)
+        need = stationary_min_samples()
+        n_steps = next(n for n in range(1, 10 ** 6)
+                       if paths.long_run_sample_count(n, 0.1, 100) >= need)
+        for n, code in ((n_steps - 1, 2), (n_steps, 0)):
+            cfg = {"experiment": "stationary-skew", "seed": 0,
+                   "grid": {"T": n / 256, "n_steps": n}}
+            result = CliRunner().invoke(
+                main, ["validate", "--config", _write_config(tmp_path, cfg)])
+            assert result.exit_code == code, result.output
+            assert ("grid/n_steps" in result.stderr) == (code == 2)
+        cfg = {"experiment": "stationary-skew", "seed": 0,
+               "grid": {"T": 100.0, "n_steps": 25600}}
+        result = CliRunner().invoke(
+            main, ["run", "--config", _write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "grid/n_steps" in result.stderr
+        assert "231 samples" in result.stderr
+        assert not (tmp_path / "report.json").exists()
+
+    def test_empty_jump_window_fails_its_criterion(self, tmp_path):
+        # at c = 1e-6 no sample falls in [c - h, c): the ratio criterion
+        # fails by name and the report stays finite (was exit 3)
+        cfg = {"experiment": "stationary-skew", "seed": 3,
+               "curve": {"kind": "constant", "level": 0.001},
+               "grid": {"T": 500.0, "n_steps": 128000}}
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", _write_config(tmp_path, cfg),
+                   "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        with open(out / "report.json") as fh:
+            report = json.load(fh, parse_constant=_reject_constant)
+        assert "jump_ratio" not in report["metrics"]
+        assert "target_jump_ratio" in report["metrics"]
+        ratio = report["criteria"][1]
+        assert not ratio["passed"]
+        assert ratio["detail"].startswith(
+            "no sample in the window [-0.499999, 1e-06)")
 
     @pytest.mark.parametrize("options", [
         {"n_x": 100},
@@ -551,6 +601,48 @@ class TestExports:
             mod = importlib.import_module(f"skewdiff.{info.name}")
             for name in getattr(mod, "__all__", ()):
                 assert hasattr(mod, name), (info.name, name)
+
+
+# scipy subpackages only the oracles that use them import, in their bodies
+_DEFERRED = ("scipy.stats", "scipy.optimize", "scipy.integrate",
+             "scipy.sparse")
+
+_LOADED = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules
+                        if ".".join(m.split(".")[:2]) in {pkgs!r})))
+"""
+
+
+def _deferred_loaded_after(code: str) -> list[str]:
+    """Deferred scipy modules a fresh interpreter holds after ``code``."""
+    import skewdiff
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(
+        os.path.dirname(skewdiff.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", code + _LOADED.format(pkgs=_DEFERRED)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_cli_import_defers_heavy_scipy(self):
+        assert _deferred_loaded_after("import skewdiff.cli") == []
+
+    def test_girsanov_run_loads_no_heavy_scipy(self, tmp_path):
+        cfg = {"experiment": "girsanov-consistency", "seed": 1,
+               "n_paths": 4000, "grid": {"T": 1.0, "n_steps": 64}}
+        path = _write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        argv = ["run", "--config", path, "--out", out]
+        code = ("from skewdiff.cli import main\n"
+                "try:\n"
+                f"    main(args={argv!r})\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n")
+        assert _deferred_loaded_after(code) == []
+        assert (tmp_path / "out" / "report.json").exists()
 
 
 class TestPlotData:

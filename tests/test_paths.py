@@ -19,6 +19,7 @@ from skewdiff.paths import (
     SchemeConfig,
     exact_besq_step,
     exact_cir_step,
+    long_run_sample_count,
     simulate_chunks,
     simulate_dsr_path,
     simulate_long_run_squared,
@@ -548,3 +549,11 @@ class TestBatching:
             assert np.allclose(samples, path.values[1:] ** 2, rtol=1e-10,
                                atol=1e-12)
 
+    @pytest.mark.parametrize("n_steps,burn_frac,thin", [
+        (512, 0.0, 1), (512, 0.1, 100), (999, 0.25, 7), (1000, 0.5, 1000)])
+    def test_long_run_sample_count(self, n_steps, burn_frac, thin):
+        params = validate_params(2.0, 2.0, 1.0, 0.75)
+        samples = simulate_long_run_squared(params, 1.0, 1.0, 1 / 256,
+                                            n_steps, 3, burn_frac=burn_frac,
+                                            thin=thin)
+        assert samples.size == long_run_sample_count(n_steps, burn_frac, thin)
