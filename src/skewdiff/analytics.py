@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# only scipy.special at import time: stats, optimize, integrate and sparse
-# cost more to import than most runs spend in them, so the oracles that use
-# them import them in their bodies
+# only scipy.special at import time: stats and sparse cost more to import
+# than most runs spend in them, so the oracles that use them import them in
+# their bodies
 from scipy import special
 
 from .errors import SeriesNotConverged, TooFewSamples
@@ -170,24 +170,19 @@ def _gamma_mass(delta: float, b: float, lo: float, hi: float) -> float:
                     - special.gammainc(a, b * lo / 2.0))
 
 
-def _stationary_cdf_factory(params: ModelParams, c: float):
-    p = params.p
-    g_c = _gamma_mass(params.delta, params.b, 0.0, c)
-    g_inf = _gamma_mass(params.delta, params.b, 0.0, np.inf)
-    z = (1.0 - p) * g_c + p * (g_inf - g_c)
+def _stationary_quantile(params: ModelParams, c: float, q):
+    """Quantile of the invariant law at a constant barrier c (b > 0).
 
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        below = (1.0 - p) * np.vectorize(
-            lambda v: _gamma_mass(params.delta, params.b, 0.0, min(v, c)))(np.maximum(x, 0.0))
-        above = np.where(
-            x > c,
-            p * np.vectorize(
-                lambda v: _gamma_mass(params.delta, params.b, c, v))(np.maximum(x, c)),
-            0.0)
-        return (below + above) / z
-
-    return cdf
+    The law is (1-p)*Gamma(delta/2, rate b/2) below c and p*Gamma above,
+    normalised; on each side of c the quantile inverts the regularised
+    lower incomplete gamma function.
+    """
+    a, p = params.delta / 2.0, params.p
+    g_c = special.gammainc(a, params.b * c / 2.0)
+    mass = np.asarray(q) * ((1.0 - p) * g_c + p * (1.0 - g_c))
+    below = mass / (1.0 - p)
+    level = np.where(below < g_c, below, g_c + (mass - (1.0 - p) * g_c) / p)
+    return 2.0 / params.b * special.gammaincinv(a, level)
 
 
 def _integrated_autocorr(x: np.ndarray, max_lag: int = 200) -> float:
@@ -235,18 +230,14 @@ def stationary_test(samples, params: ModelParams, c: float,
     shape-corrected window counts on both sides of c against p/(1-p); it is
     None when either window [c - h, c), [c, c + h) holds no sample.
     """
-    from scipy import optimize
-
     samples = np.asarray(samples, dtype=float)
     need = stationary_min_samples(bins)
     if samples.size < need:
         raise TooFewSamples(f"need >= {need} samples")
-    cdf = _stationary_cdf_factory(params, c)
 
     probs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    edges = [optimize.brentq(lambda v, q=q: cdf(v) - q, 1e-12, 1e3)
-             for q in probs]
-    counts = np.histogram(samples, bins=[0.0] + edges + [np.inf])[0]
+    edges = _stationary_quantile(params, c, probs)
+    counts = np.histogram(samples, bins=np.r_[0.0, edges, np.inf])[0]
     expected = samples.size / bins
     statistic = float(np.sum((counts - expected) ** 2 / expected))
     tau = _integrated_autocorr(samples)

@@ -523,15 +523,19 @@ def _exp_stationary_skew(cfg, model, threads):
 
 def _band_rows(params, curve, cfg, n_steps):
     """Each path's Y-frame values on an n_steps grid, in path order, with
-    the band arguments of the localtime row routines that follow them."""
+    the band arguments of the localtime row routines that follow them.
+    Every path is copied into one reused row of n+1 points."""
     grid = GridSpec(T=float(cfg["grid"]["T"]), n_steps=n_steps)
     t = grid.times()[:-1]
     lam = np.asarray(curve.lam(t), dtype=float) * np.ones_like(t)
+    y = np.empty(n_steps + 1)
     for batch in simulate_chunks(params, curve, Frame.Y, float(cfg["x0"]),
                                  grid, cfg["n_paths"], cfg["seed"],
                                  keep_values=True):
         band = (lam, params.sigma, grid.dt, default_band(batch))
-        for y in batch.values:
+        for i, terminal in enumerate(batch.terminals):
+            y[:-1] = batch.values[:, i]
+            y[-1] = terminal
             yield y, band
 
 
@@ -653,18 +657,20 @@ def _exp_pde_cross_check(cfg, model, threads):
     barrier_sq = lambda t: level_sq
     payoff = lambda x: np.minimum(x, 2.0)
     # each grid is solved once: g1 and g2 give the compared values and their
-    # grid bias, and with g3 the refinement factor at the middle x0
-    solve = lambda g: solve_backward(params, barrier_sq, payoff, grid.T, g)
-    x_ref = float(x0_list[len(x0_list) // 2])
-    sol1, sol2 = solve(g1), solve(g1.refined())
-    u1, u2 = sol1.at(x_ref), sol2.at(x_ref)
-    u3 = solve(g1.refined().refined()).at(x_ref)
+    # grid bias, and with g3 the refinement factor at the middle x0; only
+    # the values at the x0 outlive their solve
+    solve_at = lambda g, xs: list(map(
+        solve_backward(params, barrier_sq, payoff, grid.T, g).at, xs))
+    mid = len(x0_list) // 2
+    coarse, fine = solve_at(g1, x0_list), solve_at(g1.refined(), x0_list)
+    u1, u2 = coarse[mid], fine[mid]
+    u3 = solve_at(g1.refined().refined(), [x0_list[mid]])[0]
     factor = abs(u3 - u2) / max(abs(u2 - u1), 1e-300)
     max_factor = float(opts["max_refine_factor"])
     # crossing-only mirroring: the finite band is a local-time device and
     # adds O(band^3) drift near the barrier, visible in terminal laws
     scheme = SchemeConfig(band_width=float(opts["mc_band_width"]))
-    rows = compare_mc_pde(params, payoff, grid.T, x0_list, curve, sol1, sol2,
+    rows = compare_mc_pde(params, payoff, grid.T, x0_list, curve, coarse, fine,
                           int(cfg["n_paths"]), grid.n_steps, cfg["seed"],
                           extra_tol=float(opts["extra_tol"]), scheme=scheme,
                           threads=threads)

@@ -280,9 +280,9 @@ def stationary_density_constant_barrier(params: ModelParams, c, x):
     """Invariant density of the squared process for a constant barrier ``c``.
 
     Proportional to ``x^(delta/2-1) * exp(-b x/2) * ((1-p) below c, p above)``;
-    the normalization is computed by adaptive quadrature.  Requires b > 0.
+    the normalization is two incomplete gamma masses.  Requires b > 0.
     """
-    from scipy import integrate
+    from .analytics import _gamma_mass  # analytics imports this module
 
     if params.b == 0:
         raise NotNormalizable("stationary density requires b > 0")
@@ -293,9 +293,8 @@ def stationary_density_constant_barrier(params: ModelParams, c, x):
         w = np.where(np.asarray(v) >= c, params.p, 1.0 - params.p)
         return w * np.asarray(v) ** (a - 1.0) * np.exp(-params.b * np.asarray(v) / 2.0)
 
-    z_lo, _ = integrate.quad(unnorm, 0.0, c, epsrel=1e-10, limit=200)
-    z_hi, _ = integrate.quad(unnorm, c, np.inf, epsrel=1e-10, limit=200)
-    z = z_lo + z_hi
+    z = ((1.0 - params.p) * _gamma_mass(params.delta, params.b, 0.0, c)
+         + params.p * _gamma_mass(params.delta, params.b, c, np.inf))
     x = np.asarray(x, dtype=float)
     out = np.where(x >= 0, unnorm(np.maximum(x, 0.0)) / z, 0.0)
     if out.ndim == 0:

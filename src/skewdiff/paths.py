@@ -136,6 +136,8 @@ class Path:
 class PathBatch:
     """A chunk of paths simulated together (values/gauss optional).
 
+    ``values`` holds the left endpoints step-major (row k is all paths'
+    y_k, k < n; y_n is ``terminals``), ``gauss`` the normals path-major.
     ``girsanov_sums`` holds each X-frame path's sum of h(t_k)*g_k over its
     steps, accumulated left to right, for
     :func:`skewdiff.girsanov.log_weights_from_sums`; it is None in the other
@@ -343,8 +345,10 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 
     # Draw phase.  The step loop reads step k's normals and mirror
     # decisions as row k of (n, m) arrays; kept normals are returned as a
-    # path-major copy, one path per row.
-    g_steps = draws.step_major("gauss", n, m)
+    # path-major copy, one path per row.  Kept values overwrite spent rows
+    # of normals, so that chunk owns its array, not the next chunk's.
+    g_steps = (_draw_rows(n, m) if keep_values
+               else draws.step_major("gauss", n, m))
     flags = draws.step_major("flags", n, m, bool) if skew_on.any() else None
     draws.fill(root_seed, start, g_steps.T,
                None if flags is None else flags.T, p)
@@ -380,10 +384,6 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     y = np.full(m, float(x0))
     v, u, t, du, dv = (np.empty(m) for _ in range(5))
     act, act2 = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-    vals = None
-    if keep_values:
-        vals = np.empty((m, n + 1))
-        vals[:, 0] = y
     refl_counts = np.zeros(m, dtype=np.int64)
     viol_counts = np.zeros(m, dtype=np.int64)
 
@@ -429,6 +429,9 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
         if k and sums is not None:
             np.multiply(g_steps[k], h_left[k], out=t)
             np.add(sums, t, out=sums)
+        if keep_values:
+            # row k's normals are spent: it keeps the left endpoint instead
+            np.copyto(g_steps[k], y)
 
         if skew_on[k]:
             bk = bar[k]
@@ -461,8 +464,6 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                 viol_counts[neg] += 1
                 v[neg] = 2.0 * lk - v[neg]
         y, v = v, y
-        if keep_values:
-            vals[:, k + 1] = y
         if (k & 0xFF) == 0xFF and not np.all(np.isfinite(y)):
             raise SchemeDiverged(k)
 
@@ -471,7 +472,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 
     return PathBatch(grid=grid, frame=frame, params=params,
                      start_index=start, terminals=y,
-                     values=vals, gauss=gauss,
+                     values=g_steps if keep_values else None, gauss=gauss,
                      reflection_counts=refl_counts,
                      lower_violations=viol_counts, girsanov_sums=sums)
 
@@ -532,9 +533,11 @@ def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     n x m float64 array of normals, plus an n x m bool array of mirror
     decisions when the barrier is live somewhere on the grid; both are
     reused by the next chunk.  ``keep_gauss`` returns each chunk's normals
-    as ``gauss``, an m x n copy with one path per row; ``keep_values`` adds
-    the m x (n+1) trajectories.  X-frame batches carry their Girsanov sums
-    whatever is kept.  ``threads`` bounds the draw workers as in
+    as ``gauss``, an m x n copy with one path per row; ``keep_values``
+    writes the left endpoints into the normals' rows as they are spent and
+    returns them as ``values`` (see :class:`PathBatch`), in an array the
+    chunk owns.  X-frame batches carry their Girsanov sums whatever is
+    kept.  ``threads`` bounds the draw workers as in
     :func:`simulate_terminals`; nothing a batch holds depends on it.
     """
     scheme = scheme or SchemeConfig()
@@ -574,7 +577,8 @@ def simulate_paths(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                    scheme: SchemeConfig | None = None) -> list[Path]:
     """Fully retained paths; each path k uses the derived seed (seed, k)."""
     return [Path(grid=grid, frame=frame, params=params,
-                 values=batch.values[i], gauss=batch.gauss[i],
+                 values=np.append(batch.values[:, i], batch.terminals[i]),
+                 gauss=batch.gauss[i],
                  lower_violations=int(batch.lower_violations[i]))
             for batch in simulate_chunks(params, curve, frame, x0, grid,
                                          n_paths, seed, scheme,

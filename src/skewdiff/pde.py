@@ -173,25 +173,25 @@ class CrossCheckRow:
 
 
 def compare_mc_pde(params: ModelParams, payoff, T: float, x0_list,
-                   curve: Curve, coarse: PdeSolution, fine: PdeSolution,
-                   n_paths: int, n_steps_mc: int, seed: int,
-                   extra_tol: float = 0.0,
+                   curve: Curve, coarse, fine, n_paths: int,
+                   n_steps_mc: int, seed: int, extra_tol: float = 0.0,
                    scheme: SchemeConfig | None = None,
                    threads: int = 1) -> list[CrossCheckRow]:
     """PDE value vs skew-scheme Monte Carlo at each starting point.
 
-    ``coarse`` and ``fine`` solve the same problem on a grid and on its
-    refinement; the fine value is compared and their difference is the
-    Richardson grid-bias estimate.  Pass criterion per x0: |diff| <= 3*SE +
-    grid bias + extra_tol.  The Monte Carlo side simulates square-root-frame
-    paths started at sqrt(x0) and squares the terminals, with ``threads``
-    draw workers (see :func:`simulate_terminals`).
+    ``coarse`` and ``fine`` are the values at each x0 (``PdeSolution.at``)
+    of one problem solved on a grid and on its refinement, so no value
+    surface need be alive while the Monte Carlo runs; the fine value is
+    compared and their difference is the Richardson grid-bias estimate.
+    Pass criterion per x0: |diff| <= 3*SE + grid bias + extra_tol.  The
+    Monte Carlo side simulates square-root-frame paths started at sqrt(x0)
+    and squares the terminals, with ``threads`` draw workers (see
+    :func:`simulate_terminals`).
     """
     mc_grid = GridSpec(T=T, n_steps=n_steps_mc)
     rows = []
-    for k, x0 in enumerate(x0_list):
-        pde_f = fine.at(x0)
-        bias = abs(pde_f - coarse.at(x0))
+    for k, (x0, pde_f, pde_c) in enumerate(zip(x0_list, fine, coarse)):
+        bias = abs(pde_f - pde_c)
         y_term = simulate_terminals(params, curve, Frame.Y, math.sqrt(x0),
                                     mc_grid, n_paths, seed + k, scheme,
                                     threads=threads)

@@ -8,6 +8,7 @@ from scipy import integrate, optimize, special, stats
 
 from skewdiff.analytics import (
     _poisson_weights,
+    _stationary_quantile,
     besq_terminal_cdf,
     cir_moments,
     cir_terminal_cdf,
@@ -17,7 +18,7 @@ from skewdiff.analytics import (
     stationary_test,
 )
 from skewdiff.errors import TooFewSamples
-from skewdiff.model import validate_params
+from skewdiff.model import stationary_density_constant_barrier, validate_params
 
 
 class TestCirMoments:
@@ -221,6 +222,50 @@ class TestStationaryTest:
                                   params, 1.0)
             assert res.gof.p_value == float(
                 stats.chi2.sf(res.gof.statistic, 39))
+
+
+# (delta, b, p, c): p = 1/2, and barriers far below and far above the
+# mean level delta/b
+_STATIONARY_CASES = [(2.0, 1.0, 0.75, 1.0), (2.0, 1.0, 0.5, 1.0),
+                     (1.0, 1.0, 0.3, 0.01), (3.0, 2.0, 0.5, 1e-4),
+                     (2.0, 1.0, 0.9, 40.0), (5.0, 0.5, 0.3, 60.0),
+                     (1.5, 0.25, 0.6, 4.0)]
+
+
+def _two_piece_cdf(params, c, x):
+    """The invariant law's CDF from its definition: (1-p)*Gamma mass below
+    c and p*Gamma mass above, shape delta/2 and rate b/2, normalised."""
+    a, p = params.delta / 2.0, params.p
+    g = lambda v: special.gammainc(a, params.b * v / 2.0)
+    z = (1.0 - p) * g(c) + p * (1.0 - g(c))
+    return ((1.0 - p) * g(min(x, c)) + p * max(g(x) - g(c), 0.0)) / z
+
+
+class TestStationaryClosedForms:
+    @pytest.mark.parametrize("case", _STATIONARY_CASES)
+    def test_quantile_inverts_the_cdf(self, case):
+        delta, b, p, c = case
+        params = validate_params(2.0, delta, b, p)
+        probs = np.linspace(0.0, 1.0, 41)[1:-1]
+        edges = _stationary_quantile(params, c, probs)
+        assert np.all(np.diff(edges) > 0)
+        for q, x in zip(probs, edges):
+            assert abs(_two_piece_cdf(params, c, x) - q) <= 1e-12, (q, x)
+        # the bracketed root search the closed form replaced
+        roots = [optimize.brentq(
+            lambda v, q=q: _two_piece_cdf(params, c, v) - q, 1e-12, 1e3)
+            for q in probs]
+        assert np.max(np.abs(edges - roots)) <= 1e-10
+
+    @pytest.mark.parametrize("case", _STATIONARY_CASES)
+    def test_density_integrates_to_one(self, case):
+        delta, b, p, c = case
+        params = validate_params(2.0, delta, b, p)
+        f = lambda v: stationary_density_constant_barrier(params, c, v)
+        tol = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+        total = (integrate.quad(f, 0.0, c, **tol)[0]
+                 + integrate.quad(f, c, np.inf, **tol)[0])
+        assert abs(total - 1.0) <= 1e-10
 
 
 class TestScipySpecialForms:

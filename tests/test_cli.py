@@ -194,6 +194,24 @@ class TestRun:
         assert ratio["detail"].startswith(
             "no sample in the window [-0.499999, 1e-06)")
 
+    def test_invariant_law_far_above_one_thousand(self, tmp_path):
+        # mean level delta/b = 2,000: the top bin edges lie past 1,000,
+        # where a bracketed root search stopped with a ValueError traceback
+        cfg = {**SMALL_STATIONARY, "seed": 11, "params": {"b": 0.001}}
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", _write_config(tmp_path, cfg),
+                   "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        with open(out / "report.json") as fh:
+            report = json.load(fh, parse_constant=_reject_constant)
+        gof, ratio = report["criteria"]
+        assert gof["passed"]
+        assert not ratio["passed"]
+        assert ratio["detail"].startswith("no sample in the window [0.5, 1)")
+
     @pytest.mark.parametrize("options", [
         {"n_x": 100},
         {"x_max": 1.2},
@@ -626,6 +644,21 @@ def _deferred_loaded_after(code: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _deferred_loaded_by_run(tmp_path, cfg) -> set[str]:
+    """Deferred scipy subpackages a fresh ``skewdiff run`` of ``cfg`` loads."""
+    path = _write_config(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    argv = ["run", "--config", path, "--out", out]
+    code = ("from skewdiff.cli import main\n"
+            "try:\n"
+            f"    main(args={argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n")
+    loaded = _deferred_loaded_after(code)
+    assert (tmp_path / "out" / "report.json").exists()
+    return {".".join(m.split(".")[:2]) for m in loaded}
+
+
 class TestColdStart:
     def test_cli_import_defers_heavy_scipy(self):
         assert _deferred_loaded_after("import skewdiff.cli") == []
@@ -633,16 +666,17 @@ class TestColdStart:
     def test_girsanov_run_loads_no_heavy_scipy(self, tmp_path):
         cfg = {"experiment": "girsanov-consistency", "seed": 1,
                "n_paths": 4000, "grid": {"T": 1.0, "n_steps": 64}}
-        path = _write_config(tmp_path, cfg)
-        out = str(tmp_path / "out")
-        argv = ["run", "--config", path, "--out", out]
-        code = ("from skewdiff.cli import main\n"
-                "try:\n"
-                f"    main(args={argv!r})\n"
-                "except SystemExit as exc:\n"
-                "    assert exc.code == 0, exc.code\n")
-        assert _deferred_loaded_after(code) == []
-        assert (tmp_path / "out" / "report.json").exists()
+        assert _deferred_loaded_by_run(tmp_path, cfg) == set()
+
+    def test_stationary_run_loads_no_heavy_scipy(self, tmp_path):
+        # the bin edges and the plotted density are closed forms
+        assert _deferred_loaded_by_run(tmp_path, SMALL_STATIONARY) == set()
+
+    def test_pde_run_loads_only_sparse(self, tmp_path):
+        cfg = {"experiment": "pde-cross-check", "seed": 0, "n_paths": 400,
+               "grid": {"T": 1.0, "n_steps": 64},
+               "options": {"n_x": 201, "n_t": 16}}
+        assert _deferred_loaded_by_run(tmp_path, cfg) == {"scipy.sparse"}
 
 
 class TestPlotData:

@@ -529,6 +529,45 @@ class TestBatching:
             assert np.array_equal(t1, t2) and np.array_equal(g1, g2)
         assert len(runs[0]) == len(runs[1]) == 3
 
+    @pytest.mark.parametrize("chunk_size", [7, 16])
+    def test_held_batches_own_their_values(self, chunk_size):
+        # kept values overwrite their chunk's normals; batches held together
+        # must not share that array with the chunks after them
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        curve = builtin_curve("linear", 1.0, intercept=0.5, slope=1.0)
+        grid = GridSpec(1.0, 64)
+        batches = list(simulate_chunks(params, curve, Frame.X, 0.5, grid, 40,
+                                       5, chunk_size=chunk_size,
+                                       keep_values=True, keep_gauss=True))
+        assert len(batches) >= 3
+        rebuilt = [(np.append(b.values[:, i], b.terminals[i]), b.gauss[i])
+                   for b in batches for i in range(b.terminals.size)]
+        assert all(b.values.shape == (64, b.terminals.size) for b in batches)
+        whole = simulate_paths(params, curve, Frame.X, 0.5, grid, 40, 5)
+        assert len(rebuilt) == len(whole)
+        for (values, gauss), path in zip(rebuilt, whole):
+            assert np.array_equal(values, path.values)
+            assert np.array_equal(gauss, path.gauss)
+
+    def test_kept_values_add_no_second_array(self):
+        # the left endpoints live in the spent rows of the normals, so a
+        # chunk's peak is its normals plus one byte a path-step of mirror
+        # decisions and small buffers
+        import tracemalloc
+
+        params = validate_params(2.0, 2.0, 1.0, 0.7)
+        grid = GridSpec(1.0, 512)
+        m = 4096
+        tracemalloc.start()
+        try:
+            batch = next(simulate_chunks(params, CONSTANT_ONE, Frame.Y, 1.0,
+                                         grid, m, 3, keep_values=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.values.shape == (512, m)
+        assert peak < 1.3 * 8 * 512 * m
+
     def test_simulate_paths_matches_terminals(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         grid = GridSpec(T=0.5, n_steps=128)

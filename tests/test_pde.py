@@ -155,16 +155,18 @@ class TestSolveBackward:
                            1.0, coarse)
 
 
-def _coarse_fine(params):
-    return [solve_backward(params, BARRIER_ONE, PAYOFF_CAP, 1.0, g)
-            for g in (GRID, GRID.refined())]
+def _coarse_fine(params, x0_list):
+    """The coarse and the fine values at each x0, as compare_mc_pde takes them."""
+    return [[sol.at(x0) for x0 in x0_list]
+            for sol in (solve_backward(params, BARRIER_ONE, PAYOFF_CAP, 1.0, g)
+                        for g in (GRID, GRID.refined()))]
 
 
 class TestCompareMcPde:
     def test_symmetric_case_passes(self):
         curve = builtin_curve("constant", 1.0, level=1.0)
         rows = compare_mc_pde(PARAMS_SYM, PAYOFF_CAP, 1.0, [1.0], curve,
-                              *_coarse_fine(PARAMS_SYM), n_paths=20000,
+                              *_coarse_fine(PARAMS_SYM, [1.0]), n_paths=20000,
                               n_steps_mc=1024, seed=3,
                               scheme=SchemeConfig(band_width=0.0))
         assert all(r.passed for r in rows)
@@ -176,7 +178,8 @@ class TestCompareMcPde:
         sol = solve_backward(PARAMS_SKEW, BARRIER_ONE, PAYOFF_CAP, 1.0,
                              GRID.refined())
         rows = compare_mc_pde(params_mc, PAYOFF_CAP, 1.0, [0.5, 1.0, 2.0],
-                              curve, *_coarse_fine(params_mc), n_paths=20000,
+                              curve, *_coarse_fine(params_mc, [0.5, 1.0, 2.0]),
+                              n_paths=20000,
                               n_steps_mc=1024, seed=4,
                               scheme=SchemeConfig(band_width=0.0))
         mismatched = [abs(sol.at(r.x0) - r.mc_value) > r.tolerance
