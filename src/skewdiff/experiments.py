@@ -119,10 +119,7 @@ OPTIONS_SCHEMAS = {
         "mc_band_width": _NONNEG,
     }),
     "skew-occupation": _closed({"atol": _NONNEG}),
-    "dsr-demo": _closed({
-        "fd_h": _POSITIVE,
-        "drift_mode": {"enum": ["explicit", "implicit_sqrt_term"]},
-    }),
+    "dsr-demo": _closed({"fd_h": _POSITIVE}),
     "regime-check": _closed({"n_random_curves": {"type": "integer",
                                                  "minimum": 0}}),
 }
@@ -242,7 +239,7 @@ DEFAULT_CONFIGS = {
         "grid": {"T": 1.0, "n_steps": 2048},
         "n_paths": 50_000,
         "x0": 1.0,
-        "options": {"fd_h": 0.1, "drift_mode": "implicit_sqrt_term"},
+        "options": {"fd_h": 0.1},
     },
     "regime-check": {
         "params": dict(_BASE_MODEL),
@@ -719,14 +716,11 @@ def _exp_dsr_demo(cfg, model, threads):
     opts = cfg["options"]
     z0 = float(cfg["x0"])
     n = int(cfg["n_paths"])
-    # the implicit square-root drift step keeps the singular term bounded;
-    # the explicit kick (delta-1)/Y can overshoot after reflections near 0
-    scheme = SchemeConfig(drift_mode=str(opts["drift_mode"]))
 
     def z_terminals(par, g, seed):
         # Z = Y^2, with Y simulated under the drift constant of ``par``
         y = simulate_terminals(par, curve, Frame.Y, math.sqrt(z0), g, n, seed,
-                               scheme, threads=threads)
+                               threads=threads)
         return y * y
 
     # c = 0 reduces to the squared Bessel law

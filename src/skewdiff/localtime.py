@@ -8,7 +8,6 @@ The symmetric local time is always (upper + lower)/2.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "RellocReport",
     "relation_ratios",
     "markovian_from_symmetric",
-    "export_localtime_csv",
 ]
 
 
@@ -190,13 +188,3 @@ def markovian_from_symmetric(est: LocalTimeEstimate, p: float,
     d_markov = np.where(ind, d_sym, d_sym / p)
     return np.concatenate([[0.0], np.cumsum(d_markov)])
 
-
-def export_localtime_csv(est: LocalTimeEstimate, fileobj) -> None:
-    """Columns t, upper, lower, symmetric (empty string when not estimated)."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["t", "upper", "lower", "symmetric"])
-    n = est.times.size
-    upper = est.upper if est.upper is not None else [""] * n
-    lower = est.lower if est.lower is not None else [""] * n
-    for row in zip(est.times, upper, lower, est.symmetric):
-        writer.writerow([repr(v) if v != "" else "" for v in row])

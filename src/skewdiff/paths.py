@@ -1,11 +1,12 @@
 """Discretization schemes for the skew-reflected square-root diffusions.
 
-The scheme is an operator splitting: explicit (or implicit) Euler for the
-drift, a Gaussian diffusion substep, an asymmetric mirror step at the barrier
-(upper side with probability p, lower side with 1-p), and reflection at the
-lower edge of the moving domain.  Per-path randomness comes from splittable
-seeds (see :mod:`skewdiff.rng`), so batches are reproducible under any
-chunking or thread count.
+The scheme is an operator splitting: a drift-implicit Euler step for the
+drift (the singular (delta-1)/Y term taken at the new state, so the step
+stays positive without a floor), a Gaussian diffusion substep, an
+asymmetric mirror step at the barrier (upper side with probability p, lower
+side with 1-p), and reflection at the lower edge of the moving domain.
+Per-path randomness comes from splittable seeds (see :mod:`skewdiff.rng`),
+so batches are reproducible under any chunking or thread count.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "exact_cir_step",
     "exact_besq_step",
 ]
-
-_DRIFT_FLOOR = 1e-12
 
 # Default chunk, in path-steps: a chunk of m paths over n steps holds an
 # n x m float64 array of normals (and an n x m bool array of mirror
@@ -106,13 +105,10 @@ class SchemeConfig:
     """
 
     band_width: float = 3.0
-    drift_mode: str = "explicit"  # or "implicit_sqrt_term"
 
     def __post_init__(self):
         if self.band_width < 0:
             raise ValueError("band_width must be >= 0")
-        if self.drift_mode not in ("explicit", "implicit_sqrt_term"):
-            raise ValueError(f"unknown drift_mode {self.drift_mode!r}")
 
 
 @dataclass
@@ -168,6 +164,21 @@ def _curve_tables(params: ModelParams, curve: Curve, grid: GridSpec, frame: Fram
     low = -gam
     skew_on = bar > low  # the indicator {lambda > 0}
     return bar, low, gam, skew_on
+
+
+def _drift_step(params: ModelParams, dt: float) -> tuple[float, float, float]:
+    """Constants (half_s, k_half, kq) of the drift-implicit step.
+
+    With kd = dt*sigma^2/8, the step solves w = (y + gam) +
+    kd*((delta-1)/w - b*y - c) for w > 0 (Alfonsi 2005; Dereich, Neuenkirch
+    & Szpruch 2012): w = h + sqrt(h^2 + kq) with h = y*half_s + gam/2 +
+    k_half, and the drifted state is w - gam.  As kq >= 0, w >= 0 for
+    every h: the step never leaves the domain, and needs no floor.
+    """
+    c = 0.0 if params.dsr_c is None else params.dsr_c
+    kd = dt * (params.sigma * params.sigma / 8.0)
+    half_s = 0.5 * (1.0 - kd * params.b)
+    return half_s, -0.5 * (kd * c), kd * (params.delta - 1.0)
 
 
 def _draw_rows(m: int, n: int, dtype=float) -> np.ndarray:
@@ -338,8 +349,6 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     sig = params.sigma
     delta = params.delta
     p = params.p
-    b = params.b
-    c_const = 0.0 if params.dsr_c is None else params.dsr_c
 
     bar, low, gam, skew_on = _curve_tables(params, curve, grid, frame)
 
@@ -362,24 +371,16 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
         sums = g_steps[0] * h_left[0]
 
     # Step phase, on the calling thread.
-    c_drift = sig * sig / 8.0
     c_diff = 0.5 * sig * math.sqrt(dt)
     band = scheme.band_width * c_diff
-    implicit = scheme.drift_mode == "implicit_sqrt_term"
     delta_one = delta == 1.0
-    dm1 = delta - 1.0
-    kd = dt * c_drift
-    quad4 = 4.0 * (kd * dm1)
-    # Per-chunk constants folded out of the loop where the fold is bit-exact
-    # for a finite state: a gamma = 0 or b = 0 term adds or subtracts a zero,
-    # which changes at most the sign of a zero result, and max() against the
-    # floor, the implicit root and abs() all ignore that sign ((delta-1)/max()
-    # is never -0.0, as delta >= 1).  A non-finite state stays non-finite
-    # either way, so SchemeDiverged fires at the same step.
+    half_s, k_half, kq = _drift_step(params, dt)
+    # A gamma = 0 or c = 0 term is left out of the loop: adding or
+    # subtracting a zero changes at most the sign of a zero result, and the
+    # root and abs() ignore that sign, so the fold is bit-exact for a finite
+    # state.  A non-finite state stays non-finite either way, so
+    # SchemeDiverged fires at the same step.
     gam_zero = not gam.any()
-    b_zero = b == 0.0
-    c_zero = c_const == 0.0
-    k_const = kd * -c_const  # the implicit drift term when b = 0
 
     y = np.full(m, float(x0))
     v, u, t, du, dv = (np.empty(m) for _ in range(5))
@@ -389,40 +390,17 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 
     for k in range(n):
         gk = gam[k]
-        if implicit:
-            # solve w = (y+gam) + dt*c_drift*((delta-1)/w - b*y - c) for w > 0
-            a = y
-            if not gam_zero:
-                a = np.add(y, gk, out=du)
-            if not b_zero:
-                np.multiply(y, -b, out=dv)
-                np.subtract(dv, c_const, out=dv)
-                np.multiply(dv, kd, out=dv)
-                a = np.add(a, dv, out=du)
-            elif k_const != 0.0:
-                a = np.add(a, k_const, out=du)
-            np.multiply(a, a, out=t)
-            np.add(t, quad4, out=t)
-            np.sqrt(t, out=t)
-            np.add(a, t, out=t)
-            np.multiply(t, 0.5, out=u)
-            if not gam_zero:
-                np.subtract(u, gk, out=u)
-        else:
-            if gam_zero:
-                np.maximum(y, _DRIFT_FLOOR, out=t)
-            else:
-                np.add(y, gk, out=t)
-                np.maximum(t, _DRIFT_FLOOR, out=t)
-            np.divide(dm1, t, out=t)
-            if not b_zero:
-                np.multiply(y, b, out=du)
-                np.subtract(t, du, out=t)
-            if not c_zero:
-                np.subtract(t, c_const, out=t)
-            np.multiply(t, c_drift, out=t)
-            np.multiply(t, dt, out=t)
-            np.add(y, t, out=u)
+        np.multiply(y, half_s, out=du)
+        if not gam_zero:
+            np.add(du, 0.5 * gk, out=du)
+        if k_half != 0.0:
+            np.add(du, k_half, out=du)
+        np.multiply(du, du, out=t)
+        np.add(t, kq, out=t)
+        np.sqrt(t, out=t)
+        np.add(du, t, out=u)
+        if not gam_zero:
+            np.subtract(u, gk, out=u)
 
         np.multiply(g_steps[k], c_diff, out=v)
         np.add(u, v, out=v)
@@ -597,22 +575,17 @@ def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
                               thin: int = 100) -> np.ndarray:
     """Thinned samples of R = Y^2 from one long run at a constant barrier.
 
-    Scalar fast path for stationarity studies: the explicit-drift substeps
-    of the default scheme and the same per-path random stream as the batch
-    engine, but a tight Python loop that only stores every ``thin``-th
-    squared state after burn-in.
+    Scalar fast path for stationarity studies: the batch engine's
+    drift-implicit step and its per-path random stream, but a tight Python
+    loop that only stores every ``thin``-th squared state after burn-in.
     """
     gen = path_generator(seed, 0)
     gauss = gen.standard_normal(n_steps)
     unif = gen.random(n_steps)
 
-    sig = params.sigma
-    delta = params.delta
-    b = params.b
-    c = 0.0 if params.dsr_c is None else params.dsr_c
     p = params.p
-    c_drift = sig * sig / 8.0 * dt
-    c_diff = 0.5 * sig * math.sqrt(dt)
+    half_s, k_half, kq = _drift_step(params, dt)
+    c_diff = 0.5 * params.sigma * math.sqrt(dt)
     band = SchemeConfig().band_width * c_diff
     bk = float(level)
     skew_on = bk > 0.0
@@ -620,13 +593,13 @@ def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
 
     y = float(y0)
     out = []
-    dm1 = delta - 1.0
+    sqrt = math.sqrt
     for s in range(0, n_steps, _LONG_RUN_BLOCK):
         g = gauss[s:s + _LONG_RUN_BLOCK].tolist()
         uu = unif[s:s + _LONG_RUN_BLOCK].tolist()
         for k, gk, uk in zip(range(s, s + len(g)), g, uu):
-            denom = y if y > _DRIFT_FLOOR else _DRIFT_FLOOR
-            u = y + c_drift * (dm1 / denom - b * y - c)
+            h = y * half_s + k_half
+            u = h + sqrt(h * h + kq)
             v = u + c_diff * gk
             if skew_on:
                 du = u - bk

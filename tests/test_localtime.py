@@ -1,6 +1,5 @@
 """Local-time estimators and the identities they are built to verify."""
 
-import io
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from skewdiff.errors import FrameMismatch, ZeroLocalTime
 from skewdiff.localtime import (
     check_relloc,
     default_band,
-    export_localtime_csv,
     markovian_from_symmetric,
     occupation_estimate,
     relation_ratios,
@@ -220,22 +218,3 @@ class TestMarkovian:
         est = occupation_estimate(path, 1.0, default_band(path))
         with pytest.raises(ValueError):
             markovian_from_symmetric(est, 0.75, np.ones(7, dtype=bool))
-
-
-class TestCsvExport:
-    def test_columns_and_rows(self):
-        path = _skew_path(n_steps=64)
-        est = occupation_estimate(path, 1.0, default_band(path))
-        buf = io.StringIO()
-        export_localtime_csv(est, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,upper,lower,symmetric"
-        assert len(lines) == 66
-
-    def test_missing_components_blank(self):
-        path = _skew_path(n_steps=64)
-        est = tanaka_residual(path, 1.0)
-        buf = io.StringIO()
-        export_localtime_csv(est, buf)
-        first_row = buf.getvalue().splitlines()[1].split(",")
-        assert first_row[1] == "" and first_row[2] == ""

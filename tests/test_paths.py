@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from skewdiff import paths
+from skewdiff.analytics import cir_moments
 from skewdiff.errors import BZero, MissingDsrC, WrongFrame
 from skewdiff.model import builtin_curve, decompose_curve, validate_params
 from skewdiff.paths import (
@@ -116,13 +117,10 @@ class TestSchemeConfig:
     def test_defaults(self):
         scheme = SchemeConfig()
         assert scheme.band_width == 3.0
-        assert scheme.drift_mode == "explicit"
 
     def test_rejects_unknown_modes(self):
         with pytest.raises(ValueError):
             SchemeConfig(band_width=-1.0)
-        with pytest.raises(ValueError):
-            SchemeConfig(drift_mode="magic")
 
 
 class TestSeeding:
@@ -203,9 +201,7 @@ class TestGoldenStreams:
     def test_dsr_implicit_zero_barrier(self):
         params = validate_params(2.0, 2.0, 0.0, 0.5, dsr_c=1.0)
         y = simulate_terminals(params, ZERO_CURVE, Frame.Y, 1.0,
-                               GridSpec(1.0, 64), 300, 7,
-                               SchemeConfig(drift_mode="implicit_sqrt_term"),
-                               chunk_size=128)
+                               GridSpec(1.0, 64), 300, 7, chunk_size=128)
         assert _digest(y * y) == ("913dfd4b419e4d03a1e7dbb61d93b938"
                                   "534851d5ae35f60877d19de619e3e804")
 
@@ -217,8 +213,8 @@ class TestGoldenStreams:
                                      GridSpec(1.0, 64), 300, 19,
                                      chunk_size=128, keep_gauss=True):
             arrays += [batch.terminals, batch.gauss]
-        assert _digest(*arrays) == ("ca4f1c13582aa748fd9d181e0e98c327"
-                                    "473c9d121ab0a62bb92ee6f7255a9651")
+        assert _digest(*arrays) == ("c48e5b65aee8fcc1b98e3ecdb63c3e45"
+                                    "7ff5fbc48f715d3a43b0fb81a9863150")
 
     def test_single_paths(self):
         # values and draws of the three one-path entry points
@@ -229,15 +225,13 @@ class TestGoldenStreams:
         got = [
             simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=7),
             simulate_x_path(params, linear, 1.0, grid, seed=7),
-            simulate_dsr_path(dsr, CONSTANT_ONE, 1.0, grid,
-                              SchemeConfig(drift_mode="implicit_sqrt_term"),
-                              seed=7),
+            simulate_dsr_path(dsr, CONSTANT_ONE, 1.0, grid, seed=7),
         ]
         want = [
-            ("4bffdbaacdee13f6d87423a055b2ab12"
-             "4ad9b5703d3af54edbdb69289079129f", 1),
-            ("f6d5f53590352cfe95447fc4e78eabb8"
-             "2adbfa4721ea67f25e31699a9a931a06", 3),
+            ("b2c0e7a3e3301c074710acb5db01c759"
+             "9ac56d3b35bc3aa20d5000f87d3cf7b5", 8),
+            ("5f9b5282ae8f74dc6478a98b487a3ca8"
+             "dca7bae952afeb2c5d7e470821d88b74", 7),
             ("6ebb926f856184faec8f628e1e4bddb7"
              "fdb4a8e7517a7a7c7261c9bd7bc6da31", 8),
         ]
@@ -398,6 +392,22 @@ class TestExactTransitions:
         assert float(np.max(np.abs(cdf_a - cdf_b))) < 0.03
 
 
+class TestDriftStep:
+    @pytest.mark.parametrize("seed", [3, 11, 12])
+    def test_coarse_grid_mean_has_no_overshoot(self, seed):
+        # cir-baseline's model on 128 steps: an explicit (delta-1)/Y kick
+        # floored at 1e-12 sends rare paths to y^2 ~ 1e5-1e7, and the 3-SE
+        # gate then passes because the SE grows with the error
+        params = validate_params(2.0, 3.0, 1.0, 0.5)
+        y = simulate_terminals(params, ZERO_CURVE, Frame.Y, 1.0,
+                               GridSpec(1.0, 128), 100_000, seed)
+        z = y * y
+        target, _ = cir_moments(params, 1.0, 1.0)
+        se = float(np.std(z, ddof=1)) / math.sqrt(z.size)
+        assert abs(float(np.mean(z)) - target) <= 3.0 * se
+        assert float(np.max(z)) < 100.0
+
+
 class TestDsrPath:
     def test_requires_dsr_c(self):
         params = validate_params(2.0, 2.0, 0.0, 0.5)
@@ -407,7 +417,6 @@ class TestDsrPath:
     def test_frame_and_nonnegativity(self):
         params = validate_params(2.0, 2.0, 0.0, 0.5, dsr_c=1.0)
         path = simulate_dsr_path(params, ZERO_CURVE, 1.0, GridSpec(1.0, 256),
-                                 SchemeConfig(drift_mode="implicit_sqrt_term"),
                                  seed=5)
         assert path.frame is Frame.Z_DSR
         assert np.all(path.values >= 0.0)
