@@ -2,8 +2,8 @@
 
 Closed-form moments of the classical square-root process, a series
 implementation of the noncentral chi-squared CDF (transition law of the
-classical process), the skew Brownian transition density, and the
-goodness-of-fit machinery used by the verification experiments.
+classical process), and the goodness-of-fit machinery used by the
+verification experiments.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# only scipy.special at import time: stats and sparse cost more to import
-# than most runs spend in them, so the oracles that use them import them in
-# their bodies
+# only scipy.special: the Poisson weights, the chi-squared tails and the KS
+# p-value are written with its functions.  scipy.stats costs about 0.7 s and
+# 45 MB that stay resident, so only ks_test's fallback imports it
 from scipy import special
 
 from .errors import SeriesNotConverged, TooFewSamples
@@ -27,7 +27,6 @@ __all__ = [
     "noncentral_chisq_cdf",
     "cir_terminal_cdf",
     "besq_terminal_cdf",
-    "skew_bm_transition",
     "ks_test",
     "stationary_test",
     "stationary_min_samples",
@@ -114,7 +113,12 @@ def noncentral_chisq_cdf(dof: float, noncentrality: float, x,
 
 
 def cir_terminal_cdf(params: ModelParams, z0: float, t: float):
-    """CDF of the exact classical transition (b > 0) as a callable."""
+    """CDF of the exact classical transition (b > 0) as a callable.
+
+    No experiment calls it.  It is kept as the b > 0 oracle of the tests,
+    which check it, and through it ``noncentral_chisq_cdf`` at a nonzero
+    noncentrality and scaled argument, against ``scipy.stats.ncx2``.
+    """
     kappa = params.sigma ** 2 * params.b / 4.0
     decay = math.exp(-kappa * t)
     two_c = params.b / -math.expm1(-kappa * t)
@@ -137,29 +141,120 @@ def besq_terminal_cdf(params: ModelParams, z0: float, t: float):
     return cdf
 
 
-def skew_bm_transition(p: float, t: float, x0: float, x):
-    """Transition density of skew Brownian motion with barrier at 0."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    phi = lambda u: np.exp(-u * u / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-    out = phi(x - x0) + (2.0 * p - 1.0) * np.sign(x) * phi(np.abs(x) + abs(x0))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def ks_test(samples, cdf, level: float = 0.01) -> TestResult:
-    """Two-sided Kolmogorov-Smirnov test against a callable CDF."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 10:
-        raise TooFewSamples(f"need >= 10 samples, got {samples.size}")
-    from scipy import stats  # only scipy.stats has the exact KS p-value
+    """Two-sided Kolmogorov-Smirnov test against a callable CDF.
 
-    res = stats.kstest(samples, cdf)
-    return TestResult(statistic=float(res.statistic), p_value=float(res.pvalue),
-                      n=samples.size, passed=bool(res.pvalue > level),
-                      level=level)
+    The statistic and p-value are those of ``scipy.stats.kstest`` (its
+    exact method), bit for bit; ``_ks_sf`` gives the p-value.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    if n < 10:
+        raise TooFewSamples(f"need >= 10 samples, got {n}")
+    x = np.sort(samples)
+    cdfvals = cdf(x)
+    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
+    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    d = d_plus if d_plus > d_minus else d_minus
+    p = _ks_sf(n, d)
+    return TestResult(statistic=float(d), p_value=p, n=n,
+                      passed=bool(p > level), level=level)
+
+
+def _ks_sf(n: int, d) -> float:
+    """P(D_n >= d) of the two-sided KS statistic, as ``scipy.stats.kstwo.sf``.
+
+    The branches of scipy's ``_kolmogn(n, d, cdf=False)`` (Simard and
+    L'Ecuyer, J. Stat. Softw. 39(11), 2011) that need only
+    ``scipy.special``: for n > 140, 0 < d < 0.5 and 1 < nd < n - 1 it is 0
+    when nd^2 >= 370, 2*smirnov(n, d) when nd^2 >= 2.2, and one minus the
+    Pelz-Good CDF below that.  Smaller samples and Durbin's region
+    (n <= 100,000 and n*d^1.5 <= 1.4, where p > 1 - 1e-6 at the
+    experiments' sample sizes) call ``kstwo.sf`` itself.
+    """
+    t = n * d
+    nd2 = t * d
+    if n > 140 and 0.0 < d < 0.5 and 1.0 < t < n - 1:
+        if nd2 >= 370.0:
+            return 0.0
+        if nd2 >= 2.2:
+            return float(np.clip(2 * special.smirnov(n, d), 0.0, 1.0))
+        # np.power, as scipy applies it to d held in a 0-d array
+        if not (n <= 100000 and n * np.power(d, 1.5) <= 1.4):
+            return float(np.clip(1.0 - _pelz_good_cdf(n, d), 0.0, 1.0))
+    from scipy import stats  # Durbin's matrix, Pomeranz's recursion, ...
+
+    return float(np.clip(stats.kstwo.sf(d, n), 0.0, 1.0))
+
+
+# Ported from scipy.stats._ksstats._kolmogn_PelzGood (the cdf=True branch),
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD
+# 3-Clause License.  Expressions and their order are kept, so the result
+# matches scipy's bit for bit.
+_PI_SQUARED = np.pi ** 2
+_PI_FOUR = np.pi ** 4
+_PI_SIX = np.pi ** 6
+_SQRT2PI = np.sqrt(2 * np.pi)
+_SQRT3 = np.sqrt(3)
+
+
+def _pelz_good_cdf(n: int, x):
+    """Pelz-Good (1976) approximation to P(D_n <= x), for 0 < x < 1.
+
+    The Li-Chien/Korolyuk expansion K0(z) + K1(z)/sqrt(n) + K2(z)/n +
+    K3(z)/n^1.5 at z = x*sqrt(n), each term rewritten with Jacobi theta
+    functions so that it converges for small z.
+    """
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+    qlog = -_PI_SQUARED / 8 / zsquared
+    if qlog < -708:  # z below about 0.0417: q underflows
+        return 0.0
+    q = np.exp(qlog)
+
+    k1a = -zsquared
+    k1b = _PI_SQUARED / 4
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI_SQUARED / 4
+    k2c = _PI_FOUR * (1 - 2 * zsquared) / 16
+    k3d = _PI_SIX * (5 - 30 * zsquared) / 64
+    k3c = _PI_FOUR * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI_SQUARED * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+
+    # Horner scheme for the sums of c_i q^(i^2) over odd i = 2k - 1
+    K0to3 = np.zeros(4)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([1.0,
+                           k1a + k1b*msquared,
+                           k2a + k2b*msquared + k2c*mfour,
+                           k3a + k3b*msquared + k3c*mfour + k3d*msix])
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= _SQRT2PI
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+
+    # the terms over all integers k: (pi^2 k^2) q^(k^2) in K2 and
+    # (3 pi^2 k^2 z^2 - pi^4 k^4) q^(k^2) in K3
+    q = np.exp(-_PI_SQUARED / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks ** 2
+    sqrt3z = _SQRT3 * z
+    kspi = np.pi * ks
+    qpwers = q ** ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= _PI_SQUARED * _SQRT2PI/(-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= _PI_SQUARED * _SQRT2PI/(216 * zsix)
+    K0to3[3] += k3extra
+    K0to3 /= np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
+    return sum(K0to3)
 
 
 def _gamma_mass(delta: float, b: float, lo: float, hi: float) -> float:

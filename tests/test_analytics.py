@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, optimize, special, stats
 
 from skewdiff.analytics import (
+    _ks_sf,
     _poisson_weights,
     _stationary_quantile,
     besq_terminal_cdf,
@@ -14,7 +15,6 @@ from skewdiff.analytics import (
     cir_terminal_cdf,
     ks_test,
     noncentral_chisq_cdf,
-    skew_bm_transition,
     stationary_test,
 )
 from skewdiff.errors import TooFewSamples
@@ -115,28 +115,6 @@ class TestTerminalCdfs:
         assert np.allclose(cdf(x), ref, atol=1e-9)
 
 
-class TestSkewBmTransition:
-    def test_symmetric_p_is_gaussian(self):
-        x = np.linspace(-4.0, 4.0, 41)
-        dens = skew_bm_transition(0.5, 1.0, 0.3, x)
-        ref = np.exp(-(x - 0.3) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
-        assert np.allclose(dens, ref, atol=1e-12)
-
-    def test_integrates_to_one(self):
-        total, _ = integrate.quad(
-            lambda v: skew_bm_transition(0.75, 1.0, 0.3, v), -np.inf, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_mass_above_barrier_from_barrier_start(self):
-        mass, _ = integrate.quad(
-            lambda v: skew_bm_transition(0.75, 1.0, 0.0, v), 0.0, np.inf)
-        assert mass == pytest.approx(0.75, abs=1e-8)
-
-    def test_nonpositive_time_rejected(self):
-        with pytest.raises(ValueError):
-            skew_bm_transition(0.75, 0.0, 0.0, 1.0)
-
-
 class TestKsTest:
     def test_self_consistency(self):
         # inverse-transform samples from the tested CDF should pass
@@ -158,6 +136,61 @@ class TestKsTest:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             ks_test(np.ones(5), lambda x: x)
+
+    # (n, shift of exponential samples, seed, the p-value branch it hits)
+    SWEEP = [
+        (141, 0.0, 3, "pelz-good"),  # at the smallest n it serves
+        (2000, 0.0, 0, "pelz-good"),
+        (60000, 0.0, 1, "pelz-good"),
+        (150000, 0.0, 2, "pelz-good"),  # above Durbin's n <= 100,000
+        (150000, 0.002, 2, "pelz-good"),
+        (2000, 0.1, 4, "smirnov"),
+        (20000, 0.02, 5, "smirnov"),
+        (20000, 0.5, 6, "zero"),
+        (140, 0.0, 7, "fallback"),
+        (50, 0.3, 8, "fallback"),
+    ]
+
+    @staticmethod
+    def _branch(n, d):
+        """Which branch of ``_ks_sf`` serves (n, d), from its conditions."""
+        if n <= 140 or not (0.0 < d < 0.5 and 1.0 < n * d < n - 1):
+            return "fallback"
+        if n * d * d >= 370.0:
+            return "zero"
+        if n * d * d >= 2.2:
+            return "smirnov"
+        if n <= 100000 and n * d ** 1.5 <= 1.4:
+            return "durbin"
+        return "pelz-good"
+
+    def _check_against_kstest(self, samples, branch):
+        cdf = lambda x: 1.0 - np.exp(-np.asarray(x) / 2.0)
+        res = ks_test(samples, cdf)
+        ref = stats.kstest(samples, cdf)
+        assert self._branch(samples.size, res.statistic) == branch
+        assert res.statistic == float(ref.statistic)
+        assert res.p_value == float(ref.pvalue)
+
+    @pytest.mark.parametrize("n,shift,seed,branch", SWEEP)
+    def test_matches_scipy_kstest_bit_for_bit(self, n, shift, seed, branch):
+        rng = np.random.default_rng(seed)
+        samples = -2.0 * np.log1p(-rng.random(n)) + shift
+        self._check_against_kstest(samples, branch)
+
+    def test_durbin_region_falls_back(self):
+        # squeezed quantiles of the tested law put D near 0.0025 at
+        # n = 5,000: nD > 1 and n*D^1.5 <= 1.4
+        n = 5000
+        u = (np.arange(n) + 0.5) / n * 0.998
+        self._check_against_kstest(-2.0 * np.log1p(-u), "durbin")
+
+    def test_sf_matches_kstwo_on_a_grid(self):
+        # every branch of _ks_sf, fallbacks included, against kstwo.sf
+        for n in (100, 141, 1000, 20000, 100001):
+            for d in np.geomspace(1.01 / n, 0.499, 25):
+                want = float(np.clip(stats.kstwo.sf(d, n), 0.0, 1.0))
+                assert _ks_sf(n, np.float64(d)) == want, (n, d)
 
 
 class TestStationaryTest:

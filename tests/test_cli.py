@@ -683,6 +683,13 @@ class TestColdStart:
         # the bin edges and the plotted density are closed forms
         assert _deferred_loaded_by_run(tmp_path, SMALL_STATIONARY) == set()
 
+    @pytest.mark.parametrize("name", ["besq-law", "dsr-demo"])
+    def test_ks_runs_load_no_heavy_scipy(self, tmp_path, name):
+        # above 140 samples the KS p-value comes from scipy.special alone
+        cfg = {"experiment": name, "seed": 1, "n_paths": 2000,
+               "grid": {"T": 1.0, "n_steps": 64}}
+        assert _deferred_loaded_by_run(tmp_path, cfg) == set()
+
     def test_pde_run_loads_only_sparse(self, tmp_path):
         cfg = {"experiment": "pde-cross-check", "seed": 0, "n_paths": 400,
                "grid": {"T": 1.0, "n_steps": 64},
