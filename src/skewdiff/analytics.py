@@ -307,16 +307,16 @@ class StationaryTestResult:
 
 
 _STATIONARY_BINS = 40
+_JUMP_WINDOW = 0.5
 
 
-def stationary_min_samples(bins: int = _STATIONARY_BINS) -> int:
-    """Fewest samples :func:`stationary_test` accepts with ``bins`` bins."""
-    return max(10 * bins, 100)
+def stationary_min_samples() -> int:
+    """Fewest samples :func:`stationary_test` accepts."""
+    return 10 * _STATIONARY_BINS
 
 
 def stationary_test(samples, params: ModelParams, c: float,
-                    level: float = 0.01, bins: int = _STATIONARY_BINS,
-                    jump_window: float = 0.5) -> StationaryTestResult:
+                    level: float = 0.01) -> StationaryTestResult:
     """Goodness-of-fit of thinned samples against the invariant density.
 
     Chi-squared on equal-probability bins; the statistic is rescaled by the
@@ -326,10 +326,11 @@ def stationary_test(samples, params: ModelParams, c: float,
     None when either window [c - h, c), [c, c + h) holds no sample.
     """
     samples = np.asarray(samples, dtype=float)
-    need = stationary_min_samples(bins)
+    need = stationary_min_samples()
     if samples.size < need:
         raise TooFewSamples(f"need >= {need} samples")
 
+    bins = _STATIONARY_BINS
     probs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
     edges = _stationary_quantile(params, c, probs)
     counts = np.histogram(samples, bins=np.r_[0.0, edges, np.inf])[0]
@@ -341,7 +342,7 @@ def stationary_test(samples, params: ModelParams, c: float,
     gof = TestResult(statistic=adj, p_value=p_value, n=samples.size,
                      passed=bool(p_value > level), level=level)
 
-    h = jump_window
+    h = _JUMP_WINDOW
     n_below = int(np.sum((samples >= c - h) & (samples < c)))
     n_above = int(np.sum((samples >= c) & (samples < c + h)))
     m_below = _gamma_mass(params.delta, params.b, max(c - h, 0.0), c)

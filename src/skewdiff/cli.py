@@ -101,6 +101,10 @@ def run(config_path, seed, threads, out_dir):
     except SkewDiffError as exc:
         click.echo(f"runtime failure: {exc}", err=True)
         sys.exit(3)
+    except MemoryError as exc:
+        # numpy refuses an array it cannot allocate before making it
+        click.echo(f"runtime failure: out of memory: {exc}", err=True)
+        sys.exit(3)
 
     report = bundle["report"]
     try:

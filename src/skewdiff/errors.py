@@ -65,19 +65,7 @@ class MissingDsrC(SkewDiffError):
     pass
 
 
-class MissingDraws(SkewDiffError):
-    pass
-
-
 # --- estimation / statistics ----------------------------------------------
-
-class ZeroLocalTime(SkewDiffError):
-    pass
-
-
-class DegenerateWeights(SkewDiffError):
-    pass
-
 
 class SeriesNotConverged(SkewDiffError):
     pass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatch, ZeroLocalTime
+from .errors import FrameMismatch
 from .model import Curve
 from .paths import Frame, Path, PathBatch
 
@@ -26,8 +26,6 @@ __all__ = [
     "tanaka_residual",
     "check_relloc",
     "RellocReport",
-    "relation_ratios",
-    "markovian_from_symmetric",
 ]
 
 
@@ -105,6 +103,10 @@ def tanaka_residual(path: Path, barrier) -> LocalTimeEstimate:
     ``sym[k] = |X_k - kappa_k| - |X_0 - kappa_0|
     - sum_{j<k} sgn(X_j - kappa_j) * d(X - kappa)_j`` with the
     point-symmetric sign and left-endpoint (non-anticipating) sums.
+
+    No experiment calls it.  It is kept as the independent oracle of the
+    tests, which check :func:`occupation_estimate`'s symmetric local time
+    against it: a second route to the same quantity, sharing no band code.
     """
     _check_frame(path)
     kappa = _barrier_on_grid(path, barrier)
@@ -161,30 +163,3 @@ def check_relloc(r_path: Path, y_path: Path, curve: Curve,
                                  y_path.params.sigma, y_path.grid.dt, eps)
     return RellocReport(r_terminal=float(a), y_weighted=float(b),
                         residual=float(residual))
-
-
-def relation_ratios(est: LocalTimeEstimate) -> tuple[float, float]:
-    """Terminal upper/symmetric and lower/symmetric ratios (targets 2p, 2(1-p))."""
-    if est.upper is None or est.lower is None:
-        raise ZeroLocalTime("estimate lacks upper/lower components")
-    sym_t = float(est.symmetric[-1])
-    if sym_t <= 0.0:
-        raise ZeroLocalTime("no barrier interaction; ratios undefined")
-    return float(est.upper[-1]) / sym_t, float(est.lower[-1]) / sym_t
-
-
-def markovian_from_symmetric(est: LocalTimeEstimate, p: float,
-                             region_indicator) -> np.ndarray:
-    """Markovian local time from the symmetric one.
-
-    On steps where the barrier sits strictly above the domain edge
-    (indicator true) the increments coincide; where it sits on the edge the
-    symmetric increment carries only the upper weight p.
-    """
-    ind = np.asarray(region_indicator, dtype=bool)
-    d_sym = np.diff(est.symmetric)
-    if ind.size != d_sym.size:
-        raise ValueError("region_indicator must have one entry per step")
-    d_markov = np.where(ind, d_sym, d_sym / p)
-    return np.concatenate([[0.0], np.cumsum(d_markov)])
-

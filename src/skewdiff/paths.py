@@ -122,11 +122,6 @@ class Path:
     gauss: np.ndarray
     lower_violations: int = 0
 
-    @property
-    def brownian_increments(self) -> np.ndarray:
-        """(sigma/2)*sqrt(dt) * gauss -- increments of the diffusion part."""
-        return (self.params.sigma / 2.0) * math.sqrt(self.grid.dt) * self.gauss
-
 
 @dataclass
 class PathBatch:

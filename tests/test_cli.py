@@ -151,6 +151,29 @@ class TestRun:
         assert "runtime failure" in result.stderr
         assert not (tmp_path / "report.json").exists()
 
+    def test_oversized_batch_exits_three(self, tmp_path):
+        # numpy refuses the 73 TiB terminal array (was a traceback and exit
+        # 1); the address-space limit, far above what the imports reserve,
+        # makes the refusal independent of the machine's overcommit policy
+        import resource
+        import skewdiff
+
+        cfg = {"experiment": "cir-baseline", "seed": 11,
+               "n_paths": 10_000_000_000_000}
+        limit = 64 << 30
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(skewdiff.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-m", "skewdiff.cli", "run", "--config",
+             _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert done.returncode == 3, done.stderr
+        assert "runtime failure: out of memory" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_too_few_stationary_samples_exit_two(self, tmp_path):
         # the sample count follows from n_steps, burn_frac and thin, so the
         # config is refused before anything runs (was exit 3 at runtime)

@@ -6,24 +6,18 @@ import numpy as np
 import pytest
 
 from skewdiff import paths
-from skewdiff.errors import DegenerateWeights, MissingDraws, WrongFrame
+from skewdiff.analytics import mean_se
 from skewdiff.girsanov import (
-    drift_integrand,
     girsanov_log_weights,
-    girsanov_weight,
     log_weights_from_sums,
-    reweighted_expectation,
-    shifted_brownian,
+    self_normalized,
 )
-from skewdiff.model import builtin_curve, validate_params
+from skewdiff.model import builtin_curve, drift_integrand, validate_params
 from skewdiff.paths import (
     Frame,
     GridSpec,
-    Path,
     simulate_chunks,
-    simulate_paths,
-    simulate_x_path,
-    simulate_y_path,
+    simulate_terminals,
 )
 
 
@@ -31,58 +25,65 @@ def _linear_curve(slope=0.1, intercept=1.0, T=1.0):
     return builtin_curve("linear", T, intercept=intercept, slope=slope)
 
 
+def _one_x_path(params, curve, n_steps, seed):
+    """A one-path X-frame batch on [0, 1] that keeps its draws."""
+    batch, = simulate_chunks(params, curve, Frame.X, 1.0,
+                             GridSpec(1.0, n_steps), 1, seed, keep_gauss=True)
+    return batch
+
+
+def _weighted_terminals(params, curve, grid, n, seed):
+    """Girsanov weights and Y = X + gamma terminals of n X-frame paths."""
+    logs, terminals = np.empty(n), np.empty(n)
+    for batch in simulate_chunks(params, curve, Frame.X, 1.0, grid, n, seed):
+        sl = slice(batch.start_index, batch.start_index + batch.terminals.size)
+        logs[sl] = log_weights_from_sums(batch.girsanov_sums, curve, params,
+                                         grid)[0]
+        terminals[sl] = batch.terminals
+    return np.exp(logs), terminals + float(curve.gamma(grid.T))
+
+
 class TestWeightBasics:
     def test_gamma_zero_gives_unit_weight(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         curve = builtin_curve("constant", 1.0, level=1.0)
-        path = simulate_x_path(params, curve, 1.0, GridSpec(1.0, 256), seed=1)
-        w = girsanov_weight(path, curve, params)
-        assert w.log_weight == 0.0
-        assert w.weight == 1.0
+        batch = _one_x_path(params, curve, 256, seed=1)
+        logs, _, _ = log_weights_from_sums(batch.girsanov_sums, curve, params,
+                                           batch.grid)
+        assert logs[0] == 0.0
+        assert math.exp(logs[0]) == 1.0
 
     def test_log_weight_splits(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         curve = _linear_curve()
-        path = simulate_x_path(params, curve, 1.0, GridSpec(1.0, 256), seed=2)
-        w = girsanov_weight(path, curve, params)
-        assert w.log_weight == pytest.approx(
-            w.stochastic_term + w.compensator_term)
-        assert w.weight > 0.0 and math.isfinite(w.weight)
-
-    def test_wrong_frame_and_missing_draws(self):
-        params = validate_params(2.0, 2.0, 1.0, 0.7)
-        curve = _linear_curve()
-        y = simulate_y_path(params, curve, 1.0, GridSpec(1.0, 64), seed=3)
-        with pytest.raises(WrongFrame):
-            girsanov_weight(y, curve, params)
-        x = simulate_x_path(params, curve, 1.0, GridSpec(1.0, 64), seed=3)
-        stripped = Path(grid=x.grid, frame=x.frame, params=x.params,
-                        values=x.values, gauss=None)
-        with pytest.raises(MissingDraws):
-            girsanov_weight(stripped, curve, params)
+        batch = _one_x_path(params, curve, 256, seed=2)
+        logs, stoch, comp = log_weights_from_sums(batch.girsanov_sums, curve,
+                                                  params, batch.grid)
+        assert logs[0] == pytest.approx(stoch[0] + comp[0])
+        w = math.exp(logs[0])
+        assert w > 0.0 and math.isfinite(w)
 
     def test_unit_slope_closed_form(self):
         # gamma(t) = t, b = 0, sigma = 2: integrand is 1, so the log weight
         # is exactly -B_T - T/2
         params = validate_params(2.0, 2.0, 0.0, 0.7)
         curve = _linear_curve(slope=1.0, intercept=1.0)
-        grid = GridSpec(1.0, 512)
-        path = simulate_x_path(params, curve, 1.0, grid, seed=4)
-        w = girsanov_weight(path, curve, params)
-        b_t = float(np.sum(math.sqrt(grid.dt) * path.gauss))
-        assert w.stochastic_term == pytest.approx(-b_t, rel=1e-9)
-        assert w.compensator_term == pytest.approx(-0.5, rel=1e-9)
+        batch = _one_x_path(params, curve, 512, seed=4)
+        grid = batch.grid
+        _, stoch, comp = log_weights_from_sums(batch.girsanov_sums, curve,
+                                               params, grid)
+        b_t = float(np.sum(math.sqrt(grid.dt) * batch.gauss[0]))
+        assert stoch[0] == pytest.approx(-b_t, rel=1e-9)
+        assert comp[0] == pytest.approx(-0.5, rel=1e-9)
 
     def test_zero_draws_weight_below_one(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         curve = _linear_curve()
         grid = GridSpec(1.0, 128)
-        n = grid.n_steps
-        flat = Path(grid=grid, frame=Frame.X, params=params,
-                    values=np.full(n + 1, 1.0), gauss=np.zeros(n))
-        w = girsanov_weight(flat, curve, params)
-        assert w.stochastic_term == 0.0
-        assert 0.0 < w.weight < 1.0
+        logs, stoch, _ = girsanov_log_weights(np.zeros((1, grid.n_steps)),
+                                              curve, params, grid)
+        assert stoch[0] == 0.0
+        assert 0.0 < math.exp(logs[0]) < 1.0
 
     def test_dsr_variant_replaces_b_term(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
@@ -169,44 +170,22 @@ class TestStreamedSums:
         assert batch.girsanov_sums is None
 
 
-class TestShiftedBrownian:
-    def test_gamma_zero_is_plain_brownian(self):
-        params = validate_params(2.0, 2.0, 1.0, 0.7)
-        curve = builtin_curve("constant", 1.0, level=1.0)
-        path = simulate_x_path(params, curve, 1.0, GridSpec(1.0, 64), seed=5)
-        w = shifted_brownian(path, curve, params)
-        b = np.concatenate([[0.0], np.cumsum(math.sqrt(path.grid.dt) * path.gauss)])
-        assert np.allclose(w, b)
-
-    def test_drift_added_when_gamma_grows(self):
-        params = validate_params(2.0, 2.0, 0.0, 0.7)
-        curve = _linear_curve(slope=1.0)
-        path = simulate_x_path(params, curve, 1.0, GridSpec(1.0, 64), seed=5)
-        w = shifted_brownian(path, curve, params)
-        b = np.concatenate([[0.0], np.cumsum(math.sqrt(path.grid.dt) * path.gauss)])
-        assert w[-1] == pytest.approx(b[-1] + 1.0, rel=1e-9)
-
-
 class TestReweightedExpectation:
-    def _paths(self, params, curve, n=400, seed=0, n_steps=256):
-        grid = GridSpec(1.0, n_steps)
-        return simulate_paths(params, curve, Frame.X, 1.0, grid, n, seed)
-
     def test_constant_payoff_is_exact(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         curve = _linear_curve()
-        est = reweighted_expectation(lambda x: np.ones_like(x),
-                                     self._paths(params, curve), curve)
-        assert est.estimate == pytest.approx(1.0)
-        assert abs(est.unnormalized_mean - 1.0) <= 3.0 * est.unnormalized_se
+        w, y_t = _weighted_terminals(params, curve, GridSpec(1.0, 256), 400, 0)
+        est, _ = self_normalized(w, np.ones_like(y_t))
+        assert est == pytest.approx(1.0)
+        mean_w, se_w = mean_se(w)
+        assert abs(mean_w - 1.0) <= 3.0 * se_w
 
     def test_gamma_zero_matches_plain_mean(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         curve = builtin_curve("constant", 1.0, level=1.0)
-        paths = self._paths(params, curve)
-        est = reweighted_expectation(lambda x: x, paths, curve)
-        plain = float(np.mean([p.values[-1] for p in paths]))
-        assert est.estimate == pytest.approx(plain)
+        w, y_t = _weighted_terminals(params, curve, GridSpec(1.0, 256), 400, 0)
+        est, _ = self_normalized(w, y_t)
+        assert est == pytest.approx(float(np.mean(y_t)))
 
     def test_consistency_with_direct_simulation(self):
         # reweighted X-frame vs direct Y-frame estimates, several payoffs
@@ -216,35 +195,12 @@ class TestReweightedExpectation:
         for curve in (_linear_curve(), builtin_curve("sinusoidal", 1.0,
                                                      level=1.0, amplitude=0.3)):
             grid = GridSpec(1.0, 512)
-            x_paths = simulate_paths(params, curve, Frame.X, 1.0, grid, 4000, 1)
-            y_term = np.array([p.values[-1] for p in
-                               simulate_paths(params, curve, Frame.Y, 1.0,
-                                              grid, 4000, 2)])
+            w, x_term = _weighted_terminals(params, curve, grid, 4000, 1)
+            y_term = simulate_terminals(params, curve, Frame.Y, 1.0, grid,
+                                        4000, 2)
             for payoff in payoffs:
-                est = reweighted_expectation(payoff, x_paths, curve)
-                direct = np.asarray(payoff(y_term), dtype=float)
-                dm = float(np.mean(direct))
-                dse = float(np.std(direct, ddof=1) / math.sqrt(direct.size))
-                lo_x, hi_x = est.estimate - 1.96 * est.std_error, \
-                    est.estimate + 1.96 * est.std_error
+                est, se = self_normalized(w, payoff(x_term))
+                dm, dse = mean_se(np.asarray(payoff(y_term), dtype=float))
+                lo_x, hi_x = est - 1.96 * se, est + 1.96 * se
                 lo_y, hi_y = dm - 1.96 * dse, dm + 1.96 * dse
                 assert max(lo_x, lo_y) <= min(hi_x, hi_y)
-
-    def test_degenerate_weights_detected(self):
-        params = validate_params(2.0, 2.0, 1.0, 0.7)
-        curve = _linear_curve(slope=1.0, T=1.0)
-        grid = GridSpec(1.0, 64)
-        n = 64
-        paths = []
-        # synthetic paths with enormous opposing draws: one dominant weight
-        for i in range(12):
-            g = np.full(n, -30.0 if i == 0 else 30.0)
-            paths.append(Path(grid=grid, frame=Frame.X, params=params,
-                              values=np.full(n + 1, 1.0), gauss=g))
-        with pytest.raises(DegenerateWeights):
-            reweighted_expectation(lambda x: x, paths, curve)
-
-    def test_empty_batch_rejected(self):
-        curve = _linear_curve()
-        with pytest.raises(ValueError):
-            reweighted_expectation(lambda x: x, [], curve)

@@ -1,17 +1,13 @@
 """Local-time estimators and the identities they are built to verify."""
 
-import math
-
 import numpy as np
 import pytest
 
-from skewdiff.errors import FrameMismatch, ZeroLocalTime
+from skewdiff.errors import FrameMismatch
 from skewdiff.localtime import (
     check_relloc,
     default_band,
-    markovian_from_symmetric,
     occupation_estimate,
-    relation_ratios,
     tanaka_residual,
 )
 from skewdiff.model import builtin_curve, validate_params
@@ -173,13 +169,19 @@ class TestRelloc:
         assert factors and float(np.mean(factors)) == pytest.approx(4.0, rel=0.10)
 
 
+def _ratios(est):
+    """Terminal upper/symmetric and lower/symmetric local-time ratios."""
+    return est.upper[-1] / est.symmetric[-1], est.lower[-1] / est.symmetric[-1]
+
+
 class TestRelationRatios:
+    # the targets are 2p and 2(1 - p)
     def test_symmetric_p_targets_one(self):
         params = validate_params(2.0, 2.0, 1.0, 0.5)
         ratios = []
         for path in _skew_paths(10, 2 ** 13, params):
             est = occupation_estimate(path, 1.0, default_band(path))
-            ratios.append(relation_ratios(est))
+            ratios.append(_ratios(est))
         up, lo = np.mean(ratios, axis=0)
         assert up == pytest.approx(1.0, rel=0.1)
         assert lo == pytest.approx(1.0, rel=0.1)
@@ -188,33 +190,7 @@ class TestRelationRatios:
         ratios = []
         for path in _skew_paths(20, 2 ** 13):
             est = occupation_estimate(path, 1.0, default_band(path))
-            ratios.append(relation_ratios(est))
+            ratios.append(_ratios(est))
         up, lo = np.mean(ratios, axis=0)
         assert up == pytest.approx(1.5, rel=0.10)
         assert lo == pytest.approx(0.5, rel=0.10)
-
-    def test_zero_contact_raises(self):
-        path = _synthetic_path(np.full(65, 5.0))
-        est = occupation_estimate(path, 1.0, 0.01)
-        with pytest.raises(ZeroLocalTime):
-            relation_ratios(est)
-
-
-class TestMarkovian:
-    def test_identity_when_barrier_positive(self):
-        path = _skew_path(n_steps=1024)
-        est = occupation_estimate(path, 1.0, default_band(path))
-        out = markovian_from_symmetric(est, 0.75, np.ones(1024, dtype=bool))
-        assert np.allclose(out, est.symmetric)
-
-    def test_scaling_when_barrier_at_edge(self):
-        path = _skew_path(n_steps=1024)
-        est = occupation_estimate(path, 1.0, default_band(path))
-        out = markovian_from_symmetric(est, 0.75, np.zeros(1024, dtype=bool))
-        assert np.allclose(out, est.symmetric / 0.75)
-
-    def test_indicator_length_checked(self):
-        path = _skew_path(n_steps=1024)
-        est = occupation_estimate(path, 1.0, default_band(path))
-        with pytest.raises(ValueError):
-            markovian_from_symmetric(est, 0.75, np.ones(7, dtype=bool))

@@ -16,7 +16,6 @@ from skewdiff.model import builtin_curve, decompose_curve, validate_params
 from skewdiff.paths import (
     Frame,
     GridSpec,
-    Path,
     SchemeConfig,
     exact_besq_step,
     exact_cir_step,
@@ -275,13 +274,6 @@ class TestYPath:
         (batch,) = simulate_chunks(params, CONSTANT_ONE, Frame.Y, 1.0, grid,
                                    1, 2)
         assert batch.reflection_counts[0] > 0
-
-    def test_brownian_increments_scale(self):
-        params = validate_params(2.0, 2.0, 0.0, 0.5)
-        grid = GridSpec(T=1.0, n_steps=64)
-        path = simulate_y_path(params, ZERO_CURVE, 1.0, grid, seed=1)
-        expected = params.sigma / 2.0 * math.sqrt(grid.dt) * path.gauss
-        assert np.allclose(path.brownian_increments, expected)
 
     def test_band_event_rate_scales_like_inverse_sqrt_dt(self):
         # activations per path ~ O(1/sqrt(dt)): log-log slope in [-0.6, -0.4]
