@@ -22,8 +22,5 @@ from .paths import (  # noqa: F401
     SchemeConfig,
     exact_besq_step,
     exact_cir_step,
-    simulate_dsr_path,
-    simulate_x_path,
-    simulate_y_path,
     square_path,
 )

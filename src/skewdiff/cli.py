@@ -16,7 +16,6 @@ import click
 from .errors import ConfigInvalid, SkewDiffError
 from .experiments import (
     EXPERIMENTS,
-    PLOT_KINDS,
     emit_plot_data,
     normalize_config,
     output_file,

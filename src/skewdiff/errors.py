@@ -61,10 +61,6 @@ class BZero(SkewDiffError):
     pass
 
 
-class MissingDsrC(SkewDiffError):
-    pass
-
-
 # --- estimation / statistics ----------------------------------------------
 
 class SeriesNotConverged(SkewDiffError):

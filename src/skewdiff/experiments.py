@@ -97,29 +97,21 @@ def _closed(properties: dict, required=()) -> dict:
 
 # The options of each experiment that has them, checked on the merged
 # config (an experiment without options takes no "options" key); relations
-# between fields are checked by _RELATIONS once the model is built.
+# between fields are checked by _RELATIONS once the model is built.  Gate
+# thresholds are not options: each is fixed in the runner that applies it.
 OPTIONS_SCHEMAS = {
     "stationary-skew": _closed({
         "burn_frac": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
         "thin": _STEPS,
-        "level": {"type": "number", "exclusiveMinimum": 0,
-                  "exclusiveMaximum": 1},
-        "ratio_rtol": _NONNEG,
     }),
-    "localtime-ratios": _closed({"coarse_n_steps": _STEPS, "rtol": _NONNEG}),
-    "relloc-identity": _closed({"coarse_n_steps": _STEPS,
-                                "max_residual": _NONNEG}),
+    "localtime-ratios": _closed({"coarse_n_steps": _STEPS}),
+    "relloc-identity": _closed({"coarse_n_steps": _STEPS}),
     "pde-cross-check": _closed({
         "x_max": _POSITIVE,
         "n_x": {"type": "integer", "minimum": 200},
         "n_t": _STEPS,
         "x0_list": {"type": "array", "minItems": 1, "items": _POSITIVE},
-        "extra_tol": _NONNEG,
-        "max_refine_factor": _NONNEG,
-        "mc_band_width": _NONNEG,
     }),
-    "skew-occupation": _closed({"atol": _NONNEG}),
-    "dsr-demo": _closed({"fd_h": _POSITIVE}),
     "regime-check": _closed({"n_random_curves": {"type": "integer",
                                                  "minimum": 0}}),
 }
@@ -189,8 +181,7 @@ DEFAULT_CONFIGS = {
         "curve": {"kind": "constant", "level": 1.0},
         "grid": {"T": 5000.0, "n_steps": 5000 * 256},
         "x0": 1.0,
-        "options": {"burn_frac": 0.1, "thin": 100, "level": 0.01,
-                    "ratio_rtol": 0.10},
+        "options": {"burn_frac": 0.1, "thin": 100},
     },
     "localtime-ratios": {
         "params": dict(_BASE_MODEL),
@@ -198,7 +189,7 @@ DEFAULT_CONFIGS = {
         "grid": {"T": 2.0, "n_steps": 2 * 2 ** 14},
         "n_paths": 200,
         "x0": 1.0,
-        "options": {"coarse_n_steps": 2 * 2 ** 12, "rtol": 0.10},
+        "options": {"coarse_n_steps": 2 * 2 ** 12},
     },
     "relloc-identity": {
         "params": dict(_BASE_MODEL),
@@ -206,7 +197,7 @@ DEFAULT_CONFIGS = {
         "grid": {"T": 2.0, "n_steps": 2 * 2 ** 14},
         "n_paths": 200,
         "x0": 1.0,
-        "options": {"coarse_n_steps": 2 * 2 ** 12, "max_residual": 0.10},
+        "options": {"coarse_n_steps": 2 * 2 ** 12},
     },
     "girsanov-consistency": {
         "params": {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.7},
@@ -221,8 +212,7 @@ DEFAULT_CONFIGS = {
         "grid": {"T": 1.0, "n_steps": 2048},
         "n_paths": 40_000,
         "options": {"x_max": 8.0, "n_x": 401, "n_t": 256,
-                    "x0_list": [0.5, 1.0, 2.0], "extra_tol": 0.01,
-                    "max_refine_factor": 0.35, "mc_band_width": 0.0},
+                    "x0_list": [0.5, 1.0, 2.0]},
     },
     "skew-occupation": {
         "params": {"sigma": 2.0, "delta": 1.0, "b": 0.0, "p": 0.75},
@@ -230,7 +220,6 @@ DEFAULT_CONFIGS = {
         "grid": {"T": 0.01, "n_steps": 128},
         "n_paths": 100_000,
         "x0": 1.0,
-        "options": {"atol": 0.02},
     },
     "dsr-demo": {
         "params": {"sigma": 2.0, "delta": 2.0, "b": 0.0, "p": 0.5,
@@ -239,7 +228,6 @@ DEFAULT_CONFIGS = {
         "grid": {"T": 1.0, "n_steps": 2048},
         "n_paths": 50_000,
         "x0": 1.0,
-        "options": {"fd_h": 0.1},
     },
     "regime-check": {
         "params": dict(_BASE_MODEL),
@@ -354,19 +342,28 @@ def _check_pde(cfg, params, curve, grid):
     if not max(opts["x0_list"]) < x_max:
         raise ConfigInvalid("config error at options/x0_list: each x0 must "
                             f"lie below x_max = {x_max:g}")
+    # each x0 names its metrics and its criterion in its :g form
+    if len({f"{x0:g}" for x0 in opts["x0_list"]}) < len(opts["x0_list"]):
+        raise ConfigInvalid("config error at options/x0_list: two entries "
+                            "print alike (format :g) and would share metrics")
     # the truncation check of solve_backward, made before anything runs
     if not float(curve.lam(0.0)) ** 2 < 0.8 * x_max:
         raise ConfigInvalid("config error at options/x_max: the squared "
                             "barrier must lie below 0.8 * x_max")
 
 
+# dsr-demo's central difference step in T
+_DSR_FD_H = 0.1
+
+
 def _check_dsr(cfg, params, curve, grid):
     if params.dsr_c is None:
         raise ConfigInvalid("config error at params/dsr_c: dsr-demo needs "
                             "the drift constant c")
-    if not float(cfg["options"]["fd_h"]) < grid.T:
-        raise ConfigInvalid("config error at options/fd_h: the difference "
-                            f"step must lie below T = {grid.T:g}")
+    if not _DSR_FD_H < grid.T:
+        raise ConfigInvalid("config error at grid/T: dsr-demo's difference "
+                            f"step {_DSR_FD_H:g} must lie below T = "
+                            f"{grid.T:g}")
 
 
 # Fewest paths an experiment's estimates are defined for: a ddof=1
@@ -484,8 +481,8 @@ def _exp_stationary_skew(cfg, model, threads):
     samples = simulate_long_run_squared(
         params, level, float(cfg["x0"]), grid.dt, grid.n_steps, cfg["seed"],
         burn_frac=float(opts["burn_frac"]), thin=int(opts["thin"]))
-    res = stationary_test(samples, params, c, level=float(opts["level"]))
-    rtol = float(opts["ratio_rtol"])
+    res = stationary_test(samples, params, c)
+    rtol = 0.10
     metrics = {
         "gof_statistic": _metric(res.gof.statistic),
         "gof_p_value": _metric(res.gof.p_value),
@@ -538,10 +535,9 @@ def _band_rows(params, curve, cfg, n_steps):
 
 def _exp_localtime_ratios(cfg, model, threads):
     params, curve, grid = model
-    opts = cfg["options"]
-    rtol = float(opts["rtol"])
+    rtol = 0.10
     ratios, example = [], None
-    for n_steps in (grid.n_steps, int(opts["coarse_n_steps"])):
+    for n_steps in (grid.n_steps, int(cfg["options"]["coarse_n_steps"])):
         totals = []
         for y, band in _band_rows(params, curve, cfg, n_steps):
             up, lo = occupation_rows(y, *band)
@@ -583,12 +579,11 @@ def _exp_localtime_ratios(cfg, model, threads):
 
 def _exp_relloc_identity(cfg, model, threads):
     params, curve, grid = model
-    opts = cfg["options"]
-    max_res = float(opts["max_residual"])
+    max_res = 0.10
     res_f, res_c = [
         float(np.mean([relloc_rows(y ** 2, y, *band)[2]
                        for y, band in _band_rows(params, curve, cfg, n_steps)]))
-        for n_steps in (grid.n_steps, int(opts["coarse_n_steps"]))]
+        for n_steps in (grid.n_steps, int(cfg["options"]["coarse_n_steps"]))]
     metrics = {"mean_residual_fine": _metric(res_f),
                "mean_residual_coarse": _metric(res_c)}
     crit = [
@@ -663,14 +658,13 @@ def _exp_pde_cross_check(cfg, model, threads):
     u1, u2 = coarse[mid], fine[mid]
     u3 = solve_at(g1.refined().refined(), [x0_list[mid]])[0]
     factor = abs(u3 - u2) / max(abs(u2 - u1), 1e-300)
-    max_factor = float(opts["max_refine_factor"])
+    max_factor = 0.35
     # crossing-only mirroring: the finite band is a local-time device and
     # adds O(band^3) drift near the barrier, visible in terminal laws
-    scheme = SchemeConfig(band_width=float(opts["mc_band_width"]))
+    scheme = SchemeConfig(band_width=0.0)
     rows = compare_mc_pde(params, payoff, grid.T, x0_list, curve, coarse, fine,
                           int(cfg["n_paths"]), grid.n_steps, cfg["seed"],
-                          extra_tol=float(opts["extra_tol"]), scheme=scheme,
-                          threads=threads)
+                          extra_tol=0.01, scheme=scheme, threads=threads)
 
     metrics = {}
     for row in rows:
@@ -700,7 +694,7 @@ def _exp_skew_occupation(cfg, model, threads):
     y_term = simulate_terminals(params, curve, Frame.Y, float(cfg["x0"]), grid,
                                 cfg["n_paths"], cfg["seed"], threads=threads)
     frac = float(np.mean(y_term > barrier))
-    atol = float(cfg["options"]["atol"])
+    atol = 0.02
     # the binomial SE of a fraction, not mean_se's ddof=1 standard deviation
     metrics = {"fraction_above": _metric(
         frac, math.sqrt(frac * (1 - frac) / y_term.size)),
@@ -713,7 +707,6 @@ def _exp_skew_occupation(cfg, model, threads):
 
 def _exp_dsr_demo(cfg, model, threads):
     params, curve, grid = model
-    opts = cfg["options"]
     z0 = float(cfg["x0"])
     n = int(cfg["n_paths"])
 
@@ -730,7 +723,7 @@ def _exp_dsr_demo(cfg, model, threads):
     ks = ks_test(z_term, besq_terminal_cdf(params_c0, z0, grid.T))
 
     # moment self-consistency at c > 0: dE[Z]/dt = (sigma^2/4)(delta - c E[sqrt Z])
-    h = float(opts["fd_h"])
+    h = _DSR_FD_H
     grids = {dt_key: GridSpec(T=grid.T + dt_key * h, n_steps=grid.n_steps)
              for dt_key in (-1, 0, 1)}
     terms = {k: z_terminals(params, g, cfg["seed"] + 10 + k)
@@ -782,7 +775,6 @@ def _random_curve(rng, T):
 
 def _exp_regime_check(cfg, model, threads):
     params, curve, grid = model
-    opts = cfg["options"]
     t_grid = np.linspace(0.0, grid.T, 33)
 
     # parameter gates
@@ -801,7 +793,7 @@ def _exp_regime_check(cfg, model, threads):
 
     # monotone regime holds for the configured p in (1/2, 1)
     rng = np.random.default_rng(cfg["seed"])
-    n_curves = int(opts["n_random_curves"])
+    n_curves = int(cfg["options"]["n_random_curves"])
     all_ok = True
     for _ in range(n_curves):
         rc = _random_curve(rng, grid.T)

@@ -16,13 +16,13 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
 import numpy as np
 
-from .errors import BZero, MissingDsrC, SchemeDiverged, WrongFrame
+from .errors import BZero, SchemeDiverged, WrongFrame
 from .model import Curve, ModelParams, drift_integrand
 from .rng import path_generator, path_states
 
@@ -32,9 +32,6 @@ __all__ = [
     "SchemeConfig",
     "Path",
     "PathBatch",
-    "simulate_y_path",
-    "simulate_x_path",
-    "simulate_dsr_path",
     "square_path",
     "simulate_chunks",
     "simulate_terminals",
@@ -73,7 +70,6 @@ class Frame(Enum):
     Y = 0
     X = 1
     R = 2
-    Z_DSR = 3
 
 
 @dataclass(frozen=True)
@@ -448,40 +444,6 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                      values=g_steps if keep_values else None, gauss=gauss,
                      reflection_counts=refl_counts,
                      lower_violations=viol_counts, girsanov_sums=sums)
-
-
-def simulate_y_path(params: ModelParams, curve: Curve, y0: float,
-                    grid: GridSpec, scheme: SchemeConfig | None = None,
-                    seed: int = 0) -> Path:
-    """One path of the square-root process with skew reflection at lambda(t)."""
-    if y0 < 0:
-        raise ValueError(f"y0 must be >= 0, got {y0}")
-    return simulate_paths(params, curve, Frame.Y, y0, grid, 1, seed,
-                          scheme)[0]
-
-
-def simulate_x_path(params: ModelParams, curve: Curve, x0: float,
-                    grid: GridSpec, scheme: SchemeConfig | None = None,
-                    seed: int = 0) -> Path:
-    """One path in the moving frame: barrier beta(t), lower edge -gamma(t)."""
-    if x0 < -float(curve.gamma(0.0)):
-        raise ValueError(f"x0={x0} lies below the moving domain edge "
-                         f"{-float(curve.gamma(0.0))}")
-    return simulate_paths(params, curve, Frame.X, x0, grid, 1, seed,
-                          scheme)[0]
-
-
-def simulate_dsr_path(params: ModelParams, curve: Curve, z0: float,
-                      grid: GridSpec, scheme: SchemeConfig | None = None,
-                      seed: int = 0) -> Path:
-    """Double-square-root path: drift (sigma^2/4)(delta - c*sqrt(Z)), squared frame."""
-    if params.dsr_c is None:
-        raise MissingDsrC("params.dsr_c is not set")
-    if z0 < 0:
-        raise ValueError(f"z0 must be >= 0, got {z0}")
-    path = simulate_paths(params, curve, Frame.Y, math.sqrt(z0), grid, 1,
-                          seed, scheme)[0]
-    return replace(path, frame=Frame.Z_DSR, values=path.values * path.values)
 
 
 def square_path(y_path: Path) -> Path:

@@ -112,12 +112,14 @@ class TestRun:
         assert "mean_estimate" in report["metrics"]
 
     def test_unmet_criteria_exit_one(self, tmp_path):
+        # coarse and fine grids are the same grid, so both runs draw the
+        # same streams and the strict-decrease gate cannot pass
         cfg = {
-            "experiment": "skew-occupation",
+            "experiment": "localtime-ratios",
             "seed": 1,
-            "n_paths": 2000,
-            "grid": {"T": 0.01, "n_steps": 16},
-            "options": {"atol": 1e-9},
+            "n_paths": 4,
+            "grid": {"T": 0.5, "n_steps": 64},
+            "options": {"coarse_n_steps": 64},
         }
         cfg_path = _write_config(tmp_path, cfg)
         out = tmp_path / "out"
@@ -245,6 +247,13 @@ class TestRun:
         {"n_t": 0},
         {"extra_tol": -0.1},
         {"nx": 401},
+        # gate thresholds and the scheme are fixed, even at their old values
+        {"extra_tol": 0.01},
+        {"max_refine_factor": 0.35},
+        {"mc_band_width": 0.0},
+        # x0 that print alike would share a metric and a criterion name
+        {"x0_list": [1.0, 1.0000001, 2.0]},
+        {"x0_list": [0.5, 2.0, 0.5]},
     ])
     def test_bad_pde_options_exit_two(self, tmp_path, options):
         cfg = {"experiment": "pde-cross-check", "seed": 0, "n_paths": 100,
@@ -395,6 +404,19 @@ class TestValidateAgreesWithRun:
         {"experiment": "pde-cross-check", "seed": 0, "x0": 3.0},
         {"experiment": "stationary-skew", "seed": 0, "n_paths": 100_000},
         {"experiment": "regime-check", "seed": 0, "x0": 1.0},
+        # gate thresholds and method constants are fixed in code, so their
+        # old options are refused even at their old defaults
+        {"experiment": "stationary-skew", "seed": 0,
+         "options": {"level": 0.01}},
+        {"experiment": "stationary-skew", "seed": 0,
+         "options": {"ratio_rtol": 0.1}},
+        {"experiment": "localtime-ratios", "seed": 0,
+         "options": {"rtol": 0.1}},
+        {"experiment": "relloc-identity", "seed": 0,
+         "options": {"max_residual": 0.1}},
+        {"experiment": "skew-occupation", "seed": 0,
+         "options": {"atol": 0.02}},
+        {"experiment": "dsr-demo", "seed": 0, "options": {"fd_h": 0.1}},
     ])
     def test_both_exit_two_without_traceback(self, tmp_path, monkeypatch,
                                              cfg):
@@ -591,12 +613,12 @@ GOLDEN = {
     # of the sequential one
     "localtime-ratios": ({"n_paths": 200, "grid": {"T": 2.0, "n_steps": 1024},
                           "options": {"coarse_n_steps": 256}},
-                         "0dff9f000cec90e90414090bc5eb0168"
-                         "03074222bccac0a50aa59b78a662e724"),
+                         "b9ede1ba6418db2a39bac2d3e9602136"
+                         "2f8bde7c1f4dde03eb4d7616390b2b20"),
     "relloc-identity": ({"n_paths": 200, "grid": {"T": 2.0, "n_steps": 1024},
                          "options": {"coarse_n_steps": 256}},
-                        "ef6e8697d4773b548acbdc289edabcc9"
-                        "717e1a90954e59e46089ac0fce0d1b2a"),
+                        "aaa186dc963a580346a8e9427f4f9ff1"
+                        "af11102fa7b8df4fcae28d87629db6a2"),
     # 12,000 paths: one chunk of the path-step budget
     "girsanov-consistency": ({"n_paths": 12_000,
                               "grid": {"T": 1.0, "n_steps": 64}},
@@ -607,8 +629,8 @@ GOLDEN = {
                      "09a326314d596e32ae11cf2fcacc2538"),
     "pde-cross-check": ({"n_paths": 2000, "grid": {"T": 1.0, "n_steps": 128},
                          "options": {"n_x": 201, "n_t": 16}},
-                        "87f25c2ac734f8c43e07a2a7d5162e3d"
-                        "014dacdc01357c40f078ec363d71b15c"),
+                        "13b71f07d9267b0dd58304dba0cdffbf"
+                        "9ea6571637b042ac33d2d9e31cabfa4c"),
 }
 
 
@@ -626,15 +648,65 @@ class TestGoldenReports:
         assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
+def _benchmark_hooks(monkeypatch):
+    """(module, name) of each global the benchmark's traced pass wraps."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    layers = importlib.import_module("layers")
+    return [(mod_name, attr) for mod_name, attr, *_ in
+            layers.HOOKS + layers.GENERATOR_HOOKS]
+
+
 class TestBenchmarkHooks:
     def test_traced_names_resolve(self, monkeypatch):
         # the benchmark's traced pass wraps these module globals by name
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
-        layers = importlib.import_module("layers")
-        for mod_name, attr, *_ in layers.HOOKS + layers.GENERATOR_HOOKS:
+        for mod_name, attr in _benchmark_hooks(monkeypatch):
             assert hasattr(importlib.import_module(mod_name), attr), \
                 (mod_name, attr)
+
+
+class TestImports:
+    def test_every_imported_name_is_read(self, monkeypatch):
+        # the lint check: an import binds a name that some expression in
+        # the module reads, that __all__ or a "# noqa: F401" re-export
+        # names, or that the benchmark wraps by name
+        import ast
+
+        import skewdiff
+
+        hooked = {}
+        for mod_name, attr in _benchmark_hooks(monkeypatch):
+            hooked.setdefault(mod_name.rsplit(".", 1)[-1], set()).add(attr)
+        unread = []
+        src = os.path.dirname(skewdiff.__file__)
+        for fname in sorted(os.listdir(src)):
+            if not fname.endswith(".py"):
+                continue
+            with open(os.path.join(src, fname), encoding="utf-8") as fh:
+                text = fh.read()
+            lines = text.splitlines()
+            tree = ast.parse(text)
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            read |= hooked.get(fname[:-3], set())
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                for t in node.targets)):
+                    read |= set(ast.literal_eval(node.value))
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if (isinstance(node, ast.ImportFrom)
+                        and node.module == "__future__"
+                        or "noqa: F401" in lines[node.lineno - 1]):
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{fname}:{node.lineno}: {name}")
+        assert unread == []
 
 
 class TestExports:

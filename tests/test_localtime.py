@@ -16,7 +16,6 @@ from skewdiff.paths import (
     GridSpec,
     Path,
     simulate_paths,
-    simulate_y_path,
     square_path,
 )
 
@@ -100,7 +99,8 @@ class TestTanaka:
         params = validate_params(2.0, 2.0, 1.0, 0.75)
         grid = GridSpec(T=0.25, n_steps=4096)
         curve = builtin_curve("constant", 1.0, level=8.0)
-        path = simulate_y_path(params, curve, 1.0, grid, seed=1)
+        path = simulate_paths(params, curve, Frame.Y, 1.0, grid, n_paths=1,
+                              seed=1)[0]
         assert float(np.max(path.values)) < 7.0
         est = tanaka_residual(path, 8.0)
         assert abs(est.symmetric[-1]) <= 0.05
@@ -142,7 +142,8 @@ class TestRelloc:
     def test_no_touch_gives_zero_both_sides(self):
         params = validate_params(2.0, 2.0, 1.0, 0.75)
         curve = builtin_curve("constant", 1.0, level=9.0)
-        y = simulate_y_path(params, curve, 1.0, GridSpec(1.0, 1024), seed=3)
+        y = simulate_paths(params, curve, Frame.Y, 1.0, GridSpec(1.0, 1024),
+                           n_paths=1, seed=3)[0]
         rep = check_relloc(square_path(y), y, curve, 0.02)
         assert rep.r_terminal == 0.0
         assert rep.y_weighted == 0.0

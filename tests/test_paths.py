@@ -11,7 +11,7 @@ import pytest
 
 from skewdiff import paths
 from skewdiff.analytics import cir_moments
-from skewdiff.errors import BZero, MissingDsrC, WrongFrame
+from skewdiff.errors import BZero, WrongFrame
 from skewdiff.model import builtin_curve, decompose_curve, validate_params
 from skewdiff.paths import (
     Frame,
@@ -21,12 +21,9 @@ from skewdiff.paths import (
     exact_cir_step,
     long_run_sample_count,
     simulate_chunks,
-    simulate_dsr_path,
     simulate_long_run_squared,
     simulate_paths,
     simulate_terminals,
-    simulate_x_path,
-    simulate_y_path,
     square_path,
 )
 from skewdiff.rng import (
@@ -188,7 +185,8 @@ class TestSeeding:
     def test_draws_follow_path_generator(self):
         grid = GridSpec(T=1.0, n_steps=32)
         params = validate_params(2.0, 2.0, 1.0, 0.7)
-        path = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=5)
+        path = simulate_paths(params, CONSTANT_ONE, Frame.Y, 1.0, grid,
+                              n_paths=1, seed=5)[0]
         assert np.array_equal(path.gauss,
                               path_generator(5, 0).standard_normal(32))
 
@@ -216,16 +214,18 @@ class TestGoldenStreams:
                                     "7ff5fbc48f715d3a43b0fb81a9863150")
 
     def test_single_paths(self):
-        # values and draws of the three one-path entry points
+        # values and draws of one-path runs: Y frame, X frame, and the
+        # double-square-root drift with its Y values squared
         grid = GridSpec(1.0, 256)
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         linear = builtin_curve("linear", 1.0, intercept=1.0, slope=0.3)
         dsr = validate_params(2.0, 2.0, 0.0, 0.7, dsr_c=1.0)
-        got = [
-            simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=7),
-            simulate_x_path(params, linear, 1.0, grid, seed=7),
-            simulate_dsr_path(dsr, CONSTANT_ONE, 1.0, grid, seed=7),
-        ]
+        y, x, d = (simulate_paths(par, curve, frame, 1.0, grid, n_paths=1,
+                                  seed=7)[0]
+                   for par, curve, frame in ((params, CONSTANT_ONE, Frame.Y),
+                                             (params, linear, Frame.X),
+                                             (dsr, CONSTANT_ONE, Frame.Y)))
+        got = [y, x, square_path(d)]
         want = [
             ("b2c0e7a3e3301c074710acb5db01c759"
              "9ac56d3b35bc3aa20d5000f87d3cf7b5", 8),
@@ -242,7 +242,8 @@ class TestYPath:
     def test_positivity_and_shapes(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         grid = GridSpec(T=1.0, n_steps=512)
-        path = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=3)
+        path = simulate_paths(params, CONSTANT_ONE, Frame.Y, 1.0, grid,
+                              n_paths=1, seed=3)[0]
         assert path.frame is Frame.Y
         assert path.values.size == 513
         assert path.gauss.size == 512
@@ -251,21 +252,17 @@ class TestYPath:
     def test_determinism_bit_identical(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         grid = GridSpec(T=1.0, n_steps=256)
-        a = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=9)
-        b = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=9)
+        a, b = (simulate_paths(params, CONSTANT_ONE, Frame.Y, 1.0, grid,
+                               n_paths=1, seed=9)[0] for _ in range(2))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.gauss, b.gauss)
-
-    def test_negative_start_rejected(self):
-        params = validate_params(2.0, 2.0, 1.0, 0.7)
-        with pytest.raises(ValueError):
-            simulate_y_path(params, CONSTANT_ONE, -0.5, GridSpec(1.0, 16))
 
     def test_delta_one_never_negative_long_horizon(self):
         params = validate_params(2.0, 1.0, 0.0, 0.6)
         grid = GridSpec(T=4.0, n_steps=4096)
         for seed in range(5):
-            path = simulate_y_path(params, CONSTANT_ONE, 0.2, grid, seed=seed)
+            path = simulate_paths(params, CONSTANT_ONE, Frame.Y, 0.2, grid,
+                                  n_paths=1, seed=seed)[0]
             assert np.all(path.values >= 0.0)
 
     def test_reflection_events_recorded(self):
@@ -294,8 +291,9 @@ class TestXPath:
         # constant barrier: gamma identically 0, frames coincide bit for bit
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         grid = GridSpec(T=1.0, n_steps=512)
-        x = simulate_x_path(params, CONSTANT_ONE, 1.0, grid, seed=4)
-        y = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=4)
+        x, y = (simulate_paths(params, CONSTANT_ONE, frame, 1.0, grid,
+                               n_paths=1, seed=4)[0]
+                for frame in (Frame.X, Frame.Y))
         assert np.array_equal(x.values, y.values)
 
     def test_matches_y_path_for_decreasing_barrier(self):
@@ -304,29 +302,26 @@ class TestXPath:
         params = validate_params(2.0, 2.0, 1.0, 0.7)
         curve = builtin_curve("exp-decay", 1.0, level=1.0, rate=0.5)
         grid = GridSpec(T=1.0, n_steps=512)
-        x = simulate_x_path(params, curve, 1.0, grid, seed=4)
-        y = simulate_y_path(params, curve, 1.0, grid, seed=4)
+        x, y = (simulate_paths(params, curve, frame, 1.0, grid, n_paths=1,
+                               seed=4)[0]
+                for frame in (Frame.X, Frame.Y))
         assert np.allclose(x.values, y.values, rtol=0.0, atol=1e-6)
 
     def test_stays_above_moving_edge(self):
         params = validate_params(2.0, 1.0, 1.0, 0.7)
         curve = builtin_curve("linear", 1.0, intercept=0.5, slope=1.0)
         grid = GridSpec(T=1.0, n_steps=1024)
-        path = simulate_x_path(params, curve, 0.5, grid, seed=6)
+        path = simulate_paths(params, curve, Frame.X, 0.5, grid, n_paths=1,
+                              seed=6)[0]
         edge = -np.asarray(curve.gamma(grid.times()))
         assert np.all(path.values >= edge - 1e-12)
-
-    def test_start_below_domain_rejected(self):
-        params = validate_params(2.0, 2.0, 1.0, 0.7)
-        curve = builtin_curve("linear", 1.0, intercept=1.0, slope=1.0)
-        with pytest.raises(ValueError):
-            simulate_x_path(params, curve, -0.5, GridSpec(1.0, 16))
 
 
 class TestSquarePath:
     def test_elementwise_square(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
-        y = simulate_y_path(params, CONSTANT_ONE, 1.0, GridSpec(1.0, 128), seed=1)
+        y = simulate_paths(params, CONSTANT_ONE, Frame.Y, 1.0,
+                           GridSpec(1.0, 128), n_paths=1, seed=1)[0]
         r = square_path(y)
         assert r.frame is Frame.R
         assert np.array_equal(r.values, y.values ** 2)
@@ -334,7 +329,8 @@ class TestSquarePath:
 
     def test_wrong_frame(self):
         params = validate_params(2.0, 2.0, 1.0, 0.7)
-        y = simulate_y_path(params, CONSTANT_ONE, 1.0, GridSpec(1.0, 64), seed=1)
+        y = simulate_paths(params, CONSTANT_ONE, Frame.Y, 1.0,
+                           GridSpec(1.0, 64), n_paths=1, seed=1)[0]
         r = square_path(y)
         with pytest.raises(WrongFrame):
             square_path(r)
@@ -401,16 +397,11 @@ class TestDriftStep:
 
 
 class TestDsrPath:
-    def test_requires_dsr_c(self):
-        params = validate_params(2.0, 2.0, 0.0, 0.5)
-        with pytest.raises(MissingDsrC):
-            simulate_dsr_path(params, ZERO_CURVE, 1.0, GridSpec(1.0, 64))
-
     def test_frame_and_nonnegativity(self):
         params = validate_params(2.0, 2.0, 0.0, 0.5, dsr_c=1.0)
-        path = simulate_dsr_path(params, ZERO_CURVE, 1.0, GridSpec(1.0, 256),
-                                 seed=5)
-        assert path.frame is Frame.Z_DSR
+        path = simulate_paths(params, ZERO_CURVE, Frame.Y, 1.0,
+                              GridSpec(1.0, 256), n_paths=1, seed=5)[0]
+        assert path.frame is Frame.Y
         assert np.all(path.values >= 0.0)
 
 
@@ -583,7 +574,8 @@ class TestBatching:
         grid = GridSpec(T=2.0, n_steps=512)
         for c in (None, 0.5):
             params = validate_params(2.0, 2.0, 1.0, 0.75, dsr_c=c)
-            path = simulate_y_path(params, CONSTANT_ONE, 1.0, grid, seed=31)
+            path = simulate_paths(params, CONSTANT_ONE, Frame.Y, 1.0, grid,
+                                  n_paths=1, seed=31)[0]
             samples = simulate_long_run_squared(params, 1.0, 1.0, grid.dt,
                                                 512, 31, burn_frac=0.0, thin=1)
             assert np.allclose(samples, path.values[1:] ** 2, rtol=1e-10,
