@@ -19,7 +19,6 @@ from .paths import (  # noqa: F401
     Frame,
     GridSpec,
     Path,
-    SchemeConfig,
     exact_besq_step,
     exact_cir_step,
     square_path,

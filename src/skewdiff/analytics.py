@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+_LEVEL = 0.01  # of the KS and chi-squared tests
+# the noncentral chi-squared series' largest Poisson tail and most terms
+_SERIES_TOL, _MAX_TERMS = 1e-10, 100_000
+
+
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
@@ -79,9 +84,8 @@ def _poisson_weights(mu: float, jmax: int) -> tuple[np.ndarray, float]:
     return pmf, float(special.pdtrc(jmax, mu))
 
 
-def noncentral_chisq_cdf(dof: float, noncentrality: float, x,
-                         tol: float = 1e-10, max_terms: int = 100000):
-    """Poisson mixture of central chi-squared CDFs, to absolute tolerance.
+def noncentral_chisq_cdf(dof: float, noncentrality: float, x):
+    """Poisson mixture of central chi-squared CDFs, to absolute _SERIES_TOL.
 
     The remaining Poisson mass bounds the truncation error because the
     central CDF terms are decreasing in the mixing index.
@@ -97,13 +101,13 @@ def noncentral_chisq_cdf(dof: float, noncentrality: float, x,
     if half_nc == 0:
         out = special.chdtr(dof, x)
         return float(out) if out.ndim == 0 else out
-    # enough terms that the Poisson tail is below tol
+    # enough terms that the Poisson tail is below _SERIES_TOL
     jmax = int(half_nc + 10.0 * math.sqrt(half_nc) + 50.0)
-    if jmax > max_terms:
-        raise SeriesNotConverged(f"needs ~{jmax} terms, cap is {max_terms}")
+    if jmax > _MAX_TERMS:
+        raise SeriesNotConverged(f"needs ~{jmax} terms, cap is {_MAX_TERMS}")
     js = np.arange(jmax + 1)
     weights, tail = _poisson_weights(half_nc, jmax)
-    if tail > tol:
+    if tail > _SERIES_TOL:
         raise SeriesNotConverged(f"poisson tail {tail:.3e} above tolerance")
     terms = special.chdtr(dof + 2.0 * js[:, None], x[None, ...].reshape(1, -1))
     out = (weights @ terms).reshape(x.shape)
@@ -141,8 +145,8 @@ def besq_terminal_cdf(params: ModelParams, z0: float, t: float):
     return cdf
 
 
-def ks_test(samples, cdf, level: float = 0.01) -> TestResult:
-    """Two-sided Kolmogorov-Smirnov test against a callable CDF.
+def ks_test(samples, cdf) -> TestResult:
+    """Two-sided Kolmogorov-Smirnov test against a callable CDF, at _LEVEL.
 
     The statistic and p-value are those of ``scipy.stats.kstest`` (its
     exact method), bit for bit; ``_ks_sf`` gives the p-value.
@@ -158,7 +162,7 @@ def ks_test(samples, cdf, level: float = 0.01) -> TestResult:
     d = d_plus if d_plus > d_minus else d_minus
     p = _ks_sf(n, d)
     return TestResult(statistic=float(d), p_value=p, n=n,
-                      passed=bool(p > level), level=level)
+                      passed=bool(p > _LEVEL), level=_LEVEL)
 
 
 def _ks_sf(n: int, d) -> float:
@@ -169,8 +173,10 @@ def _ks_sf(n: int, d) -> float:
     ``scipy.special``: for n > 140, 0 < d < 0.5 and 1 < nd < n - 1 it is 0
     when nd^2 >= 370, 2*smirnov(n, d) when nd^2 >= 2.2, and one minus the
     Pelz-Good CDF below that.  Smaller samples and Durbin's region
-    (n <= 100,000 and n*d^1.5 <= 1.4, where p > 1 - 1e-6 at the
-    experiments' sample sizes) call ``kstwo.sf`` itself.
+    (n <= 100,000 and n*d^1.5 <= 1.4) call ``kstwo.sf`` itself.  There p
+    is near 1 only for large n: at the region's edge, d = (1.4/n)^(2/3),
+    1 - p is 8.9e-2, 2.9e-3, 1.4e-5, 4.8e-7 and 3.7e-12 at n = 141, 1,000,
+    5,000, 10,000 and 50,000, so it is not clipped to 1.
     """
     t = n * d
     nd2 = t * d
@@ -280,8 +286,8 @@ def _stationary_quantile(params: ModelParams, c: float, q):
     return 2.0 / params.b * special.gammaincinv(a, level)
 
 
-def _integrated_autocorr(x: np.ndarray, max_lag: int = 200) -> float:
-    """Integrated autocorrelation time with positive-sequence truncation."""
+def _integrated_autocorr(x: np.ndarray) -> float:
+    """Integrated autocorrelation time (positive-sequence, at most 200 lags)."""
     x = np.asarray(x, dtype=float)
     n = x.size
     x = x - x.mean()
@@ -289,7 +295,7 @@ def _integrated_autocorr(x: np.ndarray, max_lag: int = 200) -> float:
     if denom == 0:
         return 1.0
     tau = 1.0
-    for k in range(1, min(max_lag, n // 3)):
+    for k in range(1, min(200, n // 3)):
         rho = float(np.dot(x[:-k], x[k:])) / denom
         if rho < 0.05:
             break
@@ -315,15 +321,16 @@ def stationary_min_samples() -> int:
     return 10 * _STATIONARY_BINS
 
 
-def stationary_test(samples, params: ModelParams, c: float,
-                    level: float = 0.01) -> StationaryTestResult:
+def stationary_test(samples, params: ModelParams,
+                    c: float) -> StationaryTestResult:
     """Goodness-of-fit of thinned samples against the invariant density.
 
-    Chi-squared on equal-probability bins; the statistic is rescaled by the
-    estimated integrated autocorrelation time since thinned samples from a
-    single path stay correlated.  The jump ratio at the barrier compares
-    shape-corrected window counts on both sides of c against p/(1-p); it is
-    None when either window [c - h, c), [c, c + h) holds no sample.
+    Chi-squared on equal-probability bins at _LEVEL; the statistic is
+    rescaled by the estimated integrated autocorrelation time since thinned
+    samples from a single path stay correlated.  The jump ratio at the
+    barrier compares shape-corrected window counts on both sides of c
+    against p/(1-p); it is None when either window [c - h, c), [c, c + h)
+    holds no sample.
     """
     samples = np.asarray(samples, dtype=float)
     need = stationary_min_samples()
@@ -340,7 +347,7 @@ def stationary_test(samples, params: ModelParams, c: float,
     adj = statistic / tau
     p_value = float(special.chdtrc(bins - 1, adj))  # chi2.sf(adj, bins - 1)
     gof = TestResult(statistic=adj, p_value=p_value, n=samples.size,
-                     passed=bool(p_value > level), level=level)
+                     passed=bool(p_value > _LEVEL), level=_LEVEL)
 
     h = _JUMP_WINDOW
     n_below = int(np.sum((samples >= c - h) & (samples < c)))

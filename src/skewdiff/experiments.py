@@ -61,7 +61,6 @@ from .model import (
 from .paths import (
     Frame,
     GridSpec,
-    SchemeConfig,
     long_run_sample_count,
     simulate_chunks,
     simulate_long_run_squared,
@@ -515,7 +514,7 @@ def _exp_stationary_skew(cfg, model, threads):
     return metrics, crit, plot
 
 
-def _band_rows(params, curve, cfg, n_steps):
+def _band_rows(params, curve, cfg, n_steps, threads):
     """Each path's Y-frame values on an n_steps grid, in path order, with
     the band arguments of the localtime row routines that follow them.
     Every path is copied into one reused row of n+1 points."""
@@ -525,7 +524,7 @@ def _band_rows(params, curve, cfg, n_steps):
     y = np.empty(n_steps + 1)
     for batch in simulate_chunks(params, curve, Frame.Y, float(cfg["x0"]),
                                  grid, cfg["n_paths"], cfg["seed"],
-                                 keep_values=True):
+                                 keep_values=True, threads=threads):
         band = (lam, params.sigma, grid.dt, default_band(batch))
         for i, terminal in enumerate(batch.terminals):
             y[:-1] = batch.values[:, i]
@@ -539,7 +538,7 @@ def _exp_localtime_ratios(cfg, model, threads):
     ratios, example = [], None
     for n_steps in (grid.n_steps, int(cfg["options"]["coarse_n_steps"])):
         totals = []
-        for y, band in _band_rows(params, curve, cfg, n_steps):
+        for y, band in _band_rows(params, curve, cfg, n_steps, threads):
             up, lo = occupation_rows(y, *band)
             if example is None:
                 example = (grid.times(), up, lo, (up + lo) / 2.0)
@@ -582,7 +581,8 @@ def _exp_relloc_identity(cfg, model, threads):
     max_res = 0.10
     res_f, res_c = [
         float(np.mean([relloc_rows(y ** 2, y, *band)[2]
-                       for y, band in _band_rows(params, curve, cfg, n_steps)]))
+                       for y, band in _band_rows(params, curve, cfg, n_steps,
+                                                 threads)]))
         for n_steps in (grid.n_steps, int(cfg["options"]["coarse_n_steps"]))]
     metrics = {"mean_residual_fine": _metric(res_f),
                "mean_residual_coarse": _metric(res_c)}
@@ -659,12 +659,9 @@ def _exp_pde_cross_check(cfg, model, threads):
     u3 = solve_at(g1.refined().refined(), [x0_list[mid]])[0]
     factor = abs(u3 - u2) / max(abs(u2 - u1), 1e-300)
     max_factor = 0.35
-    # crossing-only mirroring: the finite band is a local-time device and
-    # adds O(band^3) drift near the barrier, visible in terminal laws
-    scheme = SchemeConfig(band_width=0.0)
     rows = compare_mc_pde(params, payoff, grid.T, x0_list, curve, coarse, fine,
                           int(cfg["n_paths"]), grid.n_steps, cfg["seed"],
-                          extra_tol=0.01, scheme=scheme, threads=threads)
+                          extra_tol=0.01, threads=threads)
 
     metrics = {}
     for row in rows:

@@ -11,7 +11,6 @@ piecewise reference density used by the regime checks.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,11 +74,6 @@ class ModelParams:
         if self.dsr_c is not None and self.dsr_c < 0:
             raise POutOfRange(f"dsr_c must be nonnegative, got {self.dsr_c}")
 
-    @property
-    def mean_reversion_level(self) -> float:
-        """delta/b for b > 0, infinite otherwise."""
-        return self.delta / self.b if self.b > 0 else math.inf
-
 
 def validate_params(sigma, delta, b, p, dsr_c=None) -> ModelParams:
     """Validate a raw parameter tuple; raises a typed error when out of regime."""
@@ -96,8 +90,6 @@ class Curve:
     finite-differenced) curve directly.
     """
 
-    T_max: float
-    quad_step: float
     grid: np.ndarray
     lambda_fn: Callable[[np.ndarray], np.ndarray]
     lambda_deriv: Callable[[np.ndarray], np.ndarray]
@@ -165,8 +157,7 @@ def decompose_curve(lambda_fn, lambda_deriv, T_max, quad_step=None) -> Curve:
     dt = np.diff(grid)
     gamma = np.concatenate([[0.0], np.cumsum(0.5 * (pos[:-1] + pos[1:]) * dt)])
     beta = lam[0] - np.concatenate([[0.0], np.cumsum(0.5 * (neg[:-1] + neg[1:]) * dt)])
-    return Curve(T_max=T_max, quad_step=float(quad_step), grid=grid,
-                 lambda_fn=lambda_fn, lambda_deriv=lambda_deriv,
+    return Curve(grid=grid, lambda_fn=lambda_fn, lambda_deriv=lambda_deriv,
                  beta_vals=beta, gamma_vals=gamma)
 
 
@@ -198,7 +189,7 @@ def builtin_curve(name, T_max, quad_step=None, **kw) -> Curve:
     return decompose_curve(fn, dfn, T_max, quad_step)
 
 
-def curve_from_csv(path, T_max=None, quad_step=None) -> Curve:
+def curve_from_csv(path, T_max=None) -> Curve:
     """Load a sampled barrier from a two-column CSV (t, lambda(t)).
 
     The curve is interpolated linearly and differentiated by centered finite
@@ -224,7 +215,7 @@ def curve_from_csv(path, T_max=None, quad_step=None) -> Curve:
     dv = np.gradient(vs, ts)
     fn = lambda t: np.interp(np.asarray(t, dtype=float), ts, vs)
     dfn = lambda t: np.interp(np.asarray(t, dtype=float), ts, dv)
-    return decompose_curve(fn, dfn, T_max, quad_step)
+    return decompose_curve(fn, dfn, T_max)
 
 
 def reference_density(params: ModelParams, curve: Curve, t, x):
@@ -251,11 +242,11 @@ class RegimeReport:
     failures: list
 
 
-def check_monotonicity(params: ModelParams, curve: Curve, t_grid, x_grid,
-                       tol=1e-12) -> RegimeReport:
+def check_monotonicity(params: ModelParams, curve: Curve, t_grid,
+                       x_grid) -> RegimeReport:
     """Check the reference density increases in t on finite grids.
 
-    ``monotone_ok`` is true iff ``rho(s,x) <= rho(t,x)*(1+tol)`` for all
+    ``monotone_ok`` is true iff ``rho(s,x) <= rho(t,x)*(1+1e-12)`` for all
     consecutive ``s <= t`` in ``t_grid`` and ``x`` in the moving domain at
     time ``s``.  Violations are collected as witnesses, not raised.
     """
@@ -269,7 +260,7 @@ def check_monotonicity(params: ModelParams, curve: Curve, t_grid, x_grid,
             continue
         rho_s = reference_density(params, curve, np.full_like(xs, s), xs)
         rho_t = reference_density(params, curve, np.full_like(xs, t), xs)
-        viol = rho_s > rho_t * (1.0 + tol)
+        viol = rho_s > rho_t * (1.0 + 1e-12)
         for x, rs, rt in zip(xs[viol], np.atleast_1d(rho_s)[viol],
                              np.atleast_1d(rho_t)[viol]):
             failures.append(((float(s), float(t)), float(x), (float(rs), float(rt))))

@@ -29,7 +29,6 @@ from .rng import path_generator, path_states
 __all__ = [
     "Frame",
     "GridSpec",
-    "SchemeConfig",
     "Path",
     "PathBatch",
     "square_path",
@@ -61,6 +60,9 @@ _MIN_PARALLEL_ROW = 512
 # 4,096 hold 0.69 MB and take 0.53 ms (129 ns a path against 160).  Much
 # smaller calls pay fixed numpy costs: 3.5-6.7 us a path at 32-64 paths.
 _STATE_BATCH = 4096
+# The mirror step acts on a crossing, or on an endpoint within BAND_WIDTH
+# one-step scales (sigma/2)*sqrt(dt) of the barrier; 0 mirrors crossings only.
+BAND_WIDTH = 3.0
 # Steps of the long-run sampler's draws turned into Python floats at a time:
 # stationary-skew's 1.28 M steps at once are about 82 MB of float objects.
 _LONG_RUN_BLOCK = 1 << 16
@@ -92,21 +94,6 @@ class GridSpec:
         return np.arange(self.n_steps + 1) * (self.T / self.n_steps)
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Tunables of the splitting scheme.
-
-    band_width is the multiplier kappa on the one-step diffusion scale
-    (sigma/2)*sqrt(dt) within which the mirror step activates.
-    """
-
-    band_width: float = 3.0
-
-    def __post_init__(self):
-        if self.band_width < 0:
-            raise ValueError("band_width must be >= 0")
-
-
 @dataclass
 class Path:
     """A single discretized trajectory with its Gaussian draws retained."""
@@ -132,7 +119,6 @@ class PathBatch:
     """
 
     grid: GridSpec
-    frame: Frame
     params: ModelParams
     start_index: int
     terminals: np.ndarray
@@ -143,7 +129,7 @@ class PathBatch:
     girsanov_sums: np.ndarray | None
 
 
-def _curve_tables(params: ModelParams, curve: Curve, grid: GridSpec, frame: Frame):
+def _curve_tables(curve: Curve, grid: GridSpec, frame: Frame):
     """Barrier / lower-boundary / drift-offset values frozen at each t_k."""
     t = grid.times()[:-1]
     if frame is Frame.X:
@@ -332,7 +318,7 @@ class _DrawPhase:
 
 
 def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
-               grid: GridSpec, scheme: SchemeConfig, root_seed: int,
+               grid: GridSpec, band_width: float, root_seed: int,
                start: int, m: int, keep_values: bool, keep_gauss: bool,
                draws: _DrawPhase) -> PathBatch:
     n = grid.n_steps
@@ -341,7 +327,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     delta = params.delta
     p = params.p
 
-    bar, low, gam, skew_on = _curve_tables(params, curve, grid, frame)
+    bar, low, gam, skew_on = _curve_tables(curve, grid, frame)
 
     # Draw phase.  The step loop reads step k's normals and mirror
     # decisions as row k of (n, m) arrays; kept normals are returned as a
@@ -363,7 +349,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 
     # Step phase, on the calling thread.
     c_diff = 0.5 * sig * math.sqrt(dt)
-    band = scheme.band_width * c_diff
+    band = band_width * c_diff
     delta_one = delta == 1.0
     half_s, k_half, kq = _drift_step(params, dt)
     # A gamma = 0 or c = 0 term is left out of the loop: adding or
@@ -439,8 +425,7 @@ def _run_chunk(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     if not np.all(np.isfinite(y)):
         raise SchemeDiverged(n - 1)
 
-    return PathBatch(grid=grid, frame=frame, params=params,
-                     start_index=start, terminals=y,
+    return PathBatch(grid=grid, params=params, start_index=start, terminals=y,
                      values=g_steps if keep_values else None, gauss=gauss,
                      reflection_counts=refl_counts,
                      lower_violations=viol_counts, girsanov_sums=sums)
@@ -457,7 +442,7 @@ def square_path(y_path: Path) -> Path:
 
 def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
                     grid: GridSpec, n_paths: int, seed: int,
-                    scheme: SchemeConfig | None = None,
+                    band_width: float = BAND_WIDTH,
                     chunk_size: int | None = None,
                     keep_values: bool = False, keep_gauss: bool = False,
                     threads: int = 1) -> Iterator[PathBatch]:
@@ -472,14 +457,16 @@ def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
     writes the left endpoints into the normals' rows as they are spent and
     returns them as ``values`` (see :class:`PathBatch`), in an array the
     chunk owns.  X-frame batches carry their Girsanov sums whatever is
-    kept.  ``threads`` bounds the draw workers as in
+    kept.  ``band_width`` is the mirror band in one-step scales (see
+    ``BAND_WIDTH``).  ``threads`` bounds the draw workers as in
     :func:`simulate_terminals`; nothing a batch holds depends on it.
     """
-    scheme = scheme or SchemeConfig()
+    if band_width < 0:
+        raise ValueError("band_width must be >= 0")
     step = chunk_size or max(1, CHUNK_PATH_STEPS // grid.n_steps)
     with _DrawPhase(threads) as draws:
         for start in range(0, n_paths, step):
-            yield _run_chunk(params, curve, frame, x0, grid, scheme, seed,
+            yield _run_chunk(params, curve, frame, x0, grid, band_width, seed,
                              start=start, m=min(step, n_paths - start),
                              keep_values=keep_values, keep_gauss=keep_gauss,
                              draws=draws)
@@ -487,7 +474,7 @@ def simulate_chunks(params: ModelParams, curve: Curve, frame: Frame, x0: float,
 
 def simulate_terminals(params: ModelParams, curve: Curve, frame: Frame,
                        x0: float, grid: GridSpec, n_paths: int, seed: int,
-                       scheme: SchemeConfig | None = None,
+                       band_width: float = BAND_WIDTH,
                        chunk_size: int | None = None,
                        threads: int = 1) -> np.ndarray:
     """Terminal values of ``n_paths`` paths (memory-light batch run).
@@ -501,23 +488,22 @@ def simulate_terminals(params: ModelParams, curve: Curve, frame: Frame,
     """
     out = np.empty(n_paths)
     for batch in simulate_chunks(params, curve, frame, x0, grid, n_paths, seed,
-                                 scheme, chunk_size, threads=threads):
+                                 band_width, chunk_size, threads=threads):
         out[batch.start_index:batch.start_index + batch.terminals.size] = \
             batch.terminals
     return out
 
 
 def simulate_paths(params: ModelParams, curve: Curve, frame: Frame, x0: float,
-                   grid: GridSpec, n_paths: int, seed: int,
-                   scheme: SchemeConfig | None = None) -> list[Path]:
+                   grid: GridSpec, n_paths: int, seed: int) -> list[Path]:
     """Fully retained paths; each path k uses the derived seed (seed, k)."""
     return [Path(grid=grid, frame=frame, params=params,
                  values=np.append(batch.values[:, i], batch.terminals[i]),
                  gauss=batch.gauss[i],
                  lower_violations=int(batch.lower_violations[i]))
             for batch in simulate_chunks(params, curve, frame, x0, grid,
-                                         n_paths, seed, scheme,
-                                         keep_values=True, keep_gauss=True)
+                                         n_paths, seed, keep_values=True,
+                                         keep_gauss=True)
             for i in range(batch.terminals.size)]
 
 
@@ -543,7 +529,7 @@ def simulate_long_run_squared(params: ModelParams, level: float, y0: float,
     p = params.p
     half_s, k_half, kq = _drift_step(params, dt)
     c_diff = 0.5 * params.sigma * math.sqrt(dt)
-    band = SchemeConfig().band_width * c_diff
+    band = BAND_WIDTH * c_diff
     bk = float(level)
     skew_on = bk > 0.0
     burn = int(burn_frac * n_steps)

@@ -514,7 +514,6 @@ _CONFIGS = st.fixed_dictionaries(
                 ["sinusoidal", "bogus"])}, optional={"levle": _floats(0, 1)}),
         ),
         "options": st.fixed_dictionaries({}, optional={
-            "atol": _floats(-0.1, 0.1),
             "coarse_n_steps": st.integers(1, 16),
             "thin": st.integers(0, 4),
         }),
@@ -577,6 +576,12 @@ class TestThreadReproducibility:
          "options": {"n_x": 201, "n_t": 16}},
         {"experiment": "girsanov-consistency", "seed": 5, "n_paths": 3000,
          "grid": {"T": 1.0, "n_steps": 512}},
+        {"experiment": "localtime-ratios", "seed": 5, "n_paths": 8,
+         "grid": {"T": 2.0, "n_steps": 1024},
+         "options": {"coarse_n_steps": 512}},
+        {"experiment": "relloc-identity", "seed": 5, "n_paths": 8,
+         "grid": {"T": 2.0, "n_steps": 1024},
+         "options": {"coarse_n_steps": 512}},
     ])
     def test_threads_reach_every_simulation(self, tmp_path, monkeypatch,
                                             cfg):

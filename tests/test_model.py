@@ -30,7 +30,6 @@ class TestValidateParams:
         params = validate_params(2.0, 3.0, 1.0, 0.7)
         assert params.sigma == 2.0
         assert params.delta == 3.0
-        assert params.mean_reversion_level == 3.0
 
     def test_sigma_nonpositive(self):
         with pytest.raises(SigmaNonpositive):
@@ -54,9 +53,6 @@ class TestValidateParams:
         for p in (0.0, 1.0):
             with pytest.raises(POutOfRange, match="extreme"):
                 validate_params(2.0, 1.0, 0.0, p)
-
-    def test_mean_reversion_level_infinite_for_b_zero(self):
-        assert validate_params(2.0, 2.0, 0.0, 0.5).mean_reversion_level == math.inf
 
     def test_every_tuple_validates_or_raises_one_typed_error(self):
         # validation completeness over a randomized sweep

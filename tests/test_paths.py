@@ -16,7 +16,6 @@ from skewdiff.model import builtin_curve, decompose_curve, validate_params
 from skewdiff.paths import (
     Frame,
     GridSpec,
-    SchemeConfig,
     exact_besq_step,
     exact_cir_step,
     long_run_sample_count,
@@ -107,16 +106,6 @@ class TestGridSpec:
             GridSpec(T=0.0, n_steps=10)
         with pytest.raises(ValueError):
             GridSpec(T=1.0, n_steps=0)
-
-
-class TestSchemeConfig:
-    def test_defaults(self):
-        scheme = SchemeConfig()
-        assert scheme.band_width == 3.0
-
-    def test_rejects_unknown_modes(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(band_width=-1.0)
 
 
 class TestSeeding:
@@ -284,6 +273,13 @@ class TestYPath:
             dts.append(grid.dt)
         slope = np.polyfit(np.log(dts), np.log(counts), 1)[0]
         assert -0.6 <= slope <= -0.4
+
+    def test_negative_band_width_rejected(self):
+        params = validate_params(2.0, 2.0, 1.0, 0.75)
+        with pytest.raises(ValueError, match="band_width"):
+            simulate_terminals(params, CONSTANT_ONE, Frame.Y, 1.0,
+                               GridSpec(T=1.0, n_steps=8), 4, 0,
+                               band_width=-1.0)
 
 
 class TestXPath:

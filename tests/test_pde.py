@@ -1,6 +1,7 @@
 """Finite-difference oracle: conservativity, maximum principle, transmission."""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import skewdiff.experiments as experiments
 import skewdiff.pde as pde
 from skewdiff.errors import GridTooCoarse
 from skewdiff.model import builtin_curve, validate_params
-from skewdiff.paths import SchemeConfig, exact_cir_step
+from skewdiff.paths import exact_cir_step
 from skewdiff.pde import (PdeGrid, _build_matrices, compare_mc_pde,
                           solve_backward)
 
@@ -167,8 +168,7 @@ class TestCompareMcPde:
         curve = builtin_curve("constant", 1.0, level=1.0)
         rows = compare_mc_pde(PARAMS_SYM, PAYOFF_CAP, 1.0, [1.0], curve,
                               *_coarse_fine(PARAMS_SYM, [1.0]), n_paths=20000,
-                              n_steps_mc=1024, seed=3,
-                              scheme=SchemeConfig(band_width=0.0))
+                              n_steps_mc=1024, seed=3)
         assert all(r.passed for r in rows)
 
     def test_mismatched_p_detected(self):
@@ -180,11 +180,27 @@ class TestCompareMcPde:
         rows = compare_mc_pde(params_mc, PAYOFF_CAP, 1.0, [0.5, 1.0, 2.0],
                               curve, *_coarse_fine(params_mc, [0.5, 1.0, 2.0]),
                               n_paths=20000,
-                              n_steps_mc=1024, seed=4,
-                              scheme=SchemeConfig(band_width=0.0))
+                              n_steps_mc=1024, seed=4)
         mismatched = [abs(sol.at(r.x0) - r.mc_value) > r.tolerance
                       for r in rows]
         assert any(mismatched)
+
+    def test_mirrors_crossings_only(self, monkeypatch):
+        bands = []
+        simulate = pde.simulate_terminals
+
+        def recorded(*args, **kw):
+            call = inspect.signature(simulate).bind(*args, **kw)
+            call.apply_defaults()
+            bands.append(call.arguments["band_width"])
+            return simulate(*args, **kw)
+
+        monkeypatch.setattr(pde, "simulate_terminals", recorded)
+        curve = builtin_curve("constant", 1.0, level=1.0)
+        compare_mc_pde(PARAMS_SKEW, PAYOFF_CAP, 1.0, [0.5, 1.0], curve,
+                       [0.0, 0.0], [0.0, 0.0], n_paths=10, n_steps_mc=8,
+                       seed=0)
+        assert bands == [0.0, 0.0]
 
     def test_cross_check_solves_each_grid_once(self, monkeypatch):
         grids = []
