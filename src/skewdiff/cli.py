@@ -36,7 +36,8 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config file {path}: "
                             f"{exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError or an integer of too many digits
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")

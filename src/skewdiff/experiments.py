@@ -13,10 +13,10 @@ import os
 import time
 from contextlib import contextmanager
 from copy import deepcopy
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-
-import jsonschema
 
 from . import __version__
 from .analytics import (
@@ -50,6 +50,7 @@ from .localtime import (
     relloc_rows,
 )
 from .model import (
+    CURVE_KINDS,
     Curve,
     ModelParams,
     builtin_curve,
@@ -70,177 +71,107 @@ from .paths import (
 )
 from .pde import PdeGrid, compare_mc_pde, solve_backward
 
-EXPERIMENTS = [
-    "cir-baseline",
-    "besq-law",
-    "stationary-skew",
-    "localtime-ratios",
-    "relloc-identity",
-    "girsanov-consistency",
-    "pde-cross-check",
-    "skew-occupation",
-    "dsr-demo",
-    "regime-check",
-]
 
-_NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
-_STEPS = {"type": "integer", "minimum": 1}
+def _fail(path, problem):
+    # each field rule takes (value, path) and calls this where value breaks it
+    raise ConfigInvalid(f"config error at {path or '<root>'}: {problem}")
 
 
-def _closed(properties: dict, required=()) -> dict:
-    return {"type": "object", "additionalProperties": False,
-            "properties": properties, "required": list(required)}
+def _number(low=-math.inf, *, above=False, below=math.inf, integer=False,
+            null=False):
+    """Rule: a JSON number (a JSON integer where ``integer``; also null
+    where ``null``), finite as a float, at least ``low`` (above it where
+    ``above``) and below ``below``."""
+    def rule(value, path):
+        if value is None and null:
+            return
+        kind = int if integer else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            _fail(path, "expected an integer" if integer else "expected a number")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            _fail(path, "not a finite number")
+        if value < low or above and value == low or not value < below:
+            _fail(path, f"must be {'>' if above else '>='} {low:g}"
+                  + (f" and < {below:g}" if below < math.inf else ""))
+    return rule
 
 
-# The options of each experiment that has them, checked on the merged
-# config (an experiment without options takes no "options" key); relations
-# between fields are checked by _RELATIONS once the model is built.  Gate
-# thresholds are not options: each is fixed in the runner that applies it.
-OPTIONS_SCHEMAS = {
-    "stationary-skew": _closed({
-        "burn_frac": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "thin": _STEPS,
-    }),
-    "localtime-ratios": _closed({"coarse_n_steps": _STEPS}),
-    "relloc-identity": _closed({"coarse_n_steps": _STEPS}),
-    "pde-cross-check": _closed({
-        "x_max": _POSITIVE,
-        "n_x": {"type": "integer", "minimum": 200},
-        "n_t": _STEPS,
-        "x0_list": {"type": "array", "minItems": 1, "items": _POSITIVE},
-    }),
-    "regime-check": _closed({"n_random_curves": {"type": "integer",
-                                                 "minimum": 0}}),
-}
+def _object(rules=None, required=()):
+    """Rule: a JSON object; with ``rules``, a closed one, each key taking
+    the rule of its name, that holds every ``required`` key."""
+    def rule(value, path):
+        if not isinstance(value, dict):
+            _fail(path, "expected an object")
+        for key in required:
+            if key not in value:
+                _fail(path, f"{key!r} is required")
+        if rules is None:
+            return
+        for key, item in value.items():
+            where = f"{path}/{key}" if path else str(key)
+            if key not in rules:
+                _fail(where, "unknown field")
+            rules[key](item, where)
+    return rule
 
-# One schema per curve kind, "csv" for a sampled curve.  T_max is the
-# tabulation horizon (default: the grid's T).  A config curve of another
-# kind than the default's replaces the default instead of merging onto it.
-_CURVE_PARAMS = {
-    "constant": {"level": _NUMBER},
-    "linear": {"intercept": _NUMBER, "slope": _NUMBER},
-    "exp-decay": {"level": _NUMBER, "rate": _NUMBER},
-    "sinusoidal": {"level": _NUMBER, "amplitude": _NUMBER,
-                   "frequency": _NUMBER, "phase": _NUMBER},
-}
-CURVE_SCHEMAS = {
-    **{kind: _closed({"kind": {"const": kind}, "T_max": _POSITIVE, **props},
-                     required=["kind"])
-       for kind, props in _CURVE_PARAMS.items()},
-    "csv": _closed({"csv": {"type": "string"}, "T_max": _POSITIVE},
-                   required=["csv"]),
-}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["experiment", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"enum": EXPERIMENTS},
-        "seed": {"type": "integer", "minimum": 0},
-        "n_paths": {"type": "integer", "minimum": 1},
-        "params": _closed({
-            "sigma": _NUMBER,
-            "delta": _NUMBER,
-            "b": _NUMBER,
-            "p": _NUMBER,
-            "dsr_c": {"type": ["number", "null"]},
-        }),
-        "curve": {"type": "object"},
-        "grid": _closed({"T": _POSITIVE, "n_steps": _STEPS}),
-        # every state space starts at 0: Y, R and Z are nonnegative, and
-        # the moving frame's lower edge -gamma(0) is 0
-        "x0": _NONNEG,
-        "options": {"type": "object"},
-        "output_dir": {"type": "string"},
-    },
-}
+def _string(value, path):
+    if not isinstance(value, str):
+        _fail(path, "expected a string")
 
-_BASE_MODEL = {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.75, "dsr_c": None}
 
-DEFAULT_CONFIGS = {
-    "cir-baseline": {
-        "params": {"sigma": 2.0, "delta": 3.0, "b": 1.0, "p": 0.5},
-        "curve": {"kind": "constant", "level": 0.0},
-        "grid": {"T": 1.0, "n_steps": 1024},
-        "n_paths": 100_000,
-        "x0": 1.0,
-    },
-    "besq-law": {
-        "params": {"sigma": 2.0, "delta": 2.0, "b": 0.0, "p": 0.5},
-        "curve": {"kind": "constant", "level": 0.0},
-        "grid": {"T": 1.0, "n_steps": 4096},
-        "n_paths": 10_000,
-        "x0": 1.0,
-    },
-    "stationary-skew": {
-        "params": dict(_BASE_MODEL),
-        "curve": {"kind": "constant", "level": 1.0},
-        "grid": {"T": 5000.0, "n_steps": 5000 * 256},
-        "x0": 1.0,
-        "options": {"burn_frac": 0.1, "thin": 100},
-    },
-    "localtime-ratios": {
-        "params": dict(_BASE_MODEL),
-        "curve": {"kind": "constant", "level": 1.0},
-        "grid": {"T": 2.0, "n_steps": 2 * 2 ** 14},
-        "n_paths": 200,
-        "x0": 1.0,
-        "options": {"coarse_n_steps": 2 * 2 ** 12},
-    },
-    "relloc-identity": {
-        "params": dict(_BASE_MODEL),
-        "curve": {"kind": "constant", "level": 1.0},
-        "grid": {"T": 2.0, "n_steps": 2 * 2 ** 14},
-        "n_paths": 200,
-        "x0": 1.0,
-        "options": {"coarse_n_steps": 2 * 2 ** 12},
-    },
-    "girsanov-consistency": {
-        "params": {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.7},
-        "curve": {"kind": "linear", "intercept": 1.0, "slope": 0.1},
-        "grid": {"T": 1.0, "n_steps": 1024},
-        "n_paths": 100_000,
-        "x0": 1.0,
-    },
-    "pde-cross-check": {
-        "params": {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.7},
-        "curve": {"kind": "constant", "level": 1.0},
-        "grid": {"T": 1.0, "n_steps": 2048},
-        "n_paths": 40_000,
-        "options": {"x_max": 8.0, "n_x": 401, "n_t": 256,
-                    "x0_list": [0.5, 1.0, 2.0]},
-    },
-    "skew-occupation": {
-        "params": {"sigma": 2.0, "delta": 1.0, "b": 0.0, "p": 0.75},
-        "curve": {"kind": "constant", "level": 1.0},
-        "grid": {"T": 0.01, "n_steps": 128},
-        "n_paths": 100_000,
-        "x0": 1.0,
-    },
-    "dsr-demo": {
-        "params": {"sigma": 2.0, "delta": 2.0, "b": 0.0, "p": 0.5,
-                   "dsr_c": 1.0},
-        "curve": {"kind": "constant", "level": 0.0},
-        "grid": {"T": 1.0, "n_steps": 2048},
-        "n_paths": 50_000,
-        "x0": 1.0,
-    },
-    "regime-check": {
-        "params": dict(_BASE_MODEL),
-        "curve": {"kind": "constant", "level": 1.0},
-        "grid": {"T": 1.0, "n_steps": 256},
-        "options": {"n_random_curves": 50},
-    },
-}
+def _experiment_name(value, path):
+    if value not in EXPERIMENTS:
+        _fail(path, f"unknown experiment; known: {', '.join(EXPERIMENTS)}")
+
+
+def _positive_list(value, path):
+    if not (isinstance(value, list) and value):
+        _fail(path, "expected a non-empty array")
+    for i, item in enumerate(value):
+        _POSITIVE(item, f"{path}/{i}")
+
+
+_NUMBER = _number()
+_POSITIVE = _number(0, above=True)
+_STEPS = _number(1, integer=True)
+
+_CHECK_CONFIG = _object({
+    "experiment": _experiment_name,
+    "seed": _number(0, integer=True),
+    "n_paths": _STEPS,
+    "params": _object({"sigma": _NUMBER, "delta": _NUMBER, "b": _NUMBER,
+                       "p": _NUMBER, "dsr_c": _number(null=True)}),
+    "curve": _object(),
+    "grid": _object({"T": _POSITIVE, "n_steps": _STEPS}),
+    # every state space starts at 0: Y, R and Z are nonnegative, and the
+    # moving frame's lower edge -gamma(0) is 0
+    "x0": _number(0),
+    "options": _object(),
+    "output_dir": _string,
+}, required=("experiment", "seed"))
+
+
+def _check_curve(curve):
+    # a curve's kind names its fields, "csv" a sampled curve's; T_max is
+    # the tabulation horizon (default: the grid's T)
+    kind = _curve_kind(curve)
+    known = [*CURVE_KINDS, "csv"]
+    if kind not in known:
+        _fail("curve/kind", f"unknown curve {kind!r}; known: {', '.join(known)}")
+    fields = ({"csv": _string} if kind == "csv" else
+              {"kind": _string, **dict.fromkeys(CURVE_KINDS[kind][0], _NUMBER)})
+    _object({**fields, "T_max": _POSITIVE})(curve, "curve")
 
 
 def default_config(experiment: str, seed: int = 0) -> dict:
-    if experiment not in DEFAULT_CONFIGS:
+    if experiment not in _RECORDS:
         raise ConfigInvalid(f"unknown experiment {experiment!r}")
-    cfg = deepcopy(DEFAULT_CONFIGS[experiment])
+    cfg = deepcopy(_RECORDS[experiment].defaults)
     cfg["experiment"] = experiment
     cfg["seed"] = seed
     return cfg
@@ -258,16 +189,6 @@ def _merge(base: dict, override: dict) -> dict:
 
 def _curve_kind(curve: dict):
     return "csv" if "csv" in curve else curve.get("kind")
-
-
-def _validate(doc, schema: dict, where: str = "") -> None:
-    # jsonschema.validate would also check the (fixed) schema on every call
-    exc = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(schema).iter_errors(doc))
-    if exc is not None:
-        parts = ([where] if where else []) + [str(p) for p in exc.absolute_path]
-        raise ConfigInvalid(f"config error at {'/'.join(parts) or '<root>'}: "
-                            f"{exc.message}") from exc
 
 
 def _build(cfg: dict) -> tuple[ModelParams, Curve, GridSpec]:
@@ -365,57 +286,34 @@ def _check_dsr(cfg, params, curve, grid):
                             f"{grid.T:g}")
 
 
-# Fewest paths an experiment's estimates are defined for: a ddof=1
-# standard error needs 2, the KS test 10 (analytics.ks_test)
-_MIN_PATHS = {
-    "cir-baseline": 2,
-    "besq-law": 10,
-    "girsanov-consistency": 2,
-    "pde-cross-check": 2,
-    "dsr-demo": 10,
-}
-
-# checks between config fields and of the oracle's domain, made once the
-# model is built
-_RELATIONS = {
-    "cir-baseline": (_check_classical,),
-    "besq-law": (_check_classical,),
-    "stationary-skew": (_check_stationary, _check_constant_barrier),
-    "pde-cross-check": (_check_pde, _check_constant_barrier),
-    "skew-occupation": (_check_constant_barrier,),
-    "dsr-demo": (_check_dsr, _check_classical),
-}
-
-
 def _prepare(config: dict) -> tuple[dict, tuple[ModelParams, Curve, GridSpec]]:
     """The merged config and its model, or ConfigInvalid."""
-    _validate(config, CONFIG_SCHEMA)
+    _CHECK_CONFIG(config, "")
     name = config["experiment"]
+    record = _RECORDS[name]
     cfg = default_config(name)
     # an experiment reads exactly the fields its defaults hold
     unread = sorted(set(config) - set(cfg) - {"output_dir"})
     if unread:
         raise ConfigInvalid(f"config error at {unread[0]}: {name} does not "
                             "read this field")
+    # a curve of another kind than the default's replaces it instead of
+    # merging onto it
     curve = config.get("curve", {})
     if _curve_kind({**cfg["curve"], **curve}) != _curve_kind(cfg["curve"]):
         cfg["curve"] = {}
     cfg = _merge(cfg, config)
-    kind = _curve_kind(cfg["curve"])
-    if kind not in CURVE_SCHEMAS:
-        raise ConfigInvalid(f"config error at curve/kind: unknown curve "
-                            f"{kind!r}; known: {', '.join(CURVE_SCHEMAS)}")
-    _validate(cfg["curve"], CURVE_SCHEMAS[kind], "curve")
+    _check_curve(cfg["curve"])
     if "options" in cfg:
-        _validate(cfg["options"], OPTIONS_SCHEMAS[name], "options")
-    if name in _MIN_PATHS and cfg["n_paths"] < _MIN_PATHS[name]:
+        _object(record.options)(cfg["options"], "options")
+    if "n_paths" in cfg and cfg["n_paths"] < record.min_paths:
         raise ConfigInvalid(f"config error at n_paths: {name} needs at least "
-                            f"{_MIN_PATHS[name]} paths")
+                            f"{record.min_paths} paths")
     model = _build(cfg)
     if name != "dsr-demo" and model[0].dsr_c is not None:
         raise ConfigInvalid(f"config error at params/dsr_c: {name} simulates "
                             "no double-square-root drift; only dsr-demo does")
-    for check in _RELATIONS.get(name, ()):
+    for check in record.relations:
         check(cfg, *model)
     return cfg, model
 
@@ -818,26 +716,117 @@ def _exp_regime_check(cfg, model, threads):
     return metrics, crit, {}
 
 
-_RUNNERS = {
-    "cir-baseline": _exp_cir_baseline,
-    "besq-law": _exp_besq_law,
-    "stationary-skew": _exp_stationary_skew,
-    "localtime-ratios": _exp_localtime_ratios,
-    "relloc-identity": _exp_relloc_identity,
-    "girsanov-consistency": _exp_girsanov_consistency,
-    "pde-cross-check": _exp_pde_cross_check,
-    "skew-occupation": _exp_skew_occupation,
-    "dsr-demo": _exp_dsr_demo,
-    "regime-check": _exp_regime_check,
+@dataclass(frozen=True)
+class _Experiment:
+    """One named experiment: the config it reads, every field at its
+    default; the rules of its options (an experiment whose defaults hold no
+    options takes none); the fewest paths its estimates are defined for (a
+    ddof=1 standard error needs 2, the KS test 10, analytics.ks_test); the
+    checks between fields and of the oracle's domain, made once the model is
+    built; and the runner, (cfg, model, threads) -> (metrics, criteria,
+    plot data).  Gate thresholds are not options: each is fixed in the
+    runner that applies it."""
+
+    defaults: dict
+    run: Callable
+    options: dict | None = None
+    min_paths: int = 1
+    relations: tuple = ()
+
+
+_BASE_MODEL = {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.75, "dsr_c": None}
+
+_RECORDS = {
+    "cir-baseline": _Experiment(
+        {"params": {"sigma": 2.0, "delta": 3.0, "b": 1.0, "p": 0.5},
+         "curve": {"kind": "constant", "level": 0.0},
+         "grid": {"T": 1.0, "n_steps": 1024},
+         "n_paths": 100_000,
+         "x0": 1.0},
+        _exp_cir_baseline, min_paths=2, relations=(_check_classical,)),
+    "besq-law": _Experiment(
+        {"params": {"sigma": 2.0, "delta": 2.0, "b": 0.0, "p": 0.5},
+         "curve": {"kind": "constant", "level": 0.0},
+         "grid": {"T": 1.0, "n_steps": 4096},
+         "n_paths": 10_000,
+         "x0": 1.0},
+        _exp_besq_law, min_paths=10, relations=(_check_classical,)),
+    "stationary-skew": _Experiment(
+        {"params": dict(_BASE_MODEL),
+         "curve": {"kind": "constant", "level": 1.0},
+         "grid": {"T": 5000.0, "n_steps": 5000 * 256},
+         "x0": 1.0,
+         "options": {"burn_frac": 0.1, "thin": 100}},
+        _exp_stationary_skew,
+        options={"burn_frac": _number(0, below=1), "thin": _STEPS},
+        relations=(_check_stationary, _check_constant_barrier)),
+    "localtime-ratios": _Experiment(
+        {"params": dict(_BASE_MODEL),
+         "curve": {"kind": "constant", "level": 1.0},
+         "grid": {"T": 2.0, "n_steps": 2 * 2 ** 14},
+         "n_paths": 200,
+         "x0": 1.0,
+         "options": {"coarse_n_steps": 2 * 2 ** 12}},
+        _exp_localtime_ratios, options={"coarse_n_steps": _STEPS}),
+    "relloc-identity": _Experiment(
+        {"params": dict(_BASE_MODEL),
+         "curve": {"kind": "constant", "level": 1.0},
+         "grid": {"T": 2.0, "n_steps": 2 * 2 ** 14},
+         "n_paths": 200,
+         "x0": 1.0,
+         "options": {"coarse_n_steps": 2 * 2 ** 12}},
+        _exp_relloc_identity, options={"coarse_n_steps": _STEPS}),
+    "girsanov-consistency": _Experiment(
+        {"params": {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.7},
+         "curve": {"kind": "linear", "intercept": 1.0, "slope": 0.1},
+         "grid": {"T": 1.0, "n_steps": 1024},
+         "n_paths": 100_000,
+         "x0": 1.0},
+        _exp_girsanov_consistency, min_paths=2),
+    "pde-cross-check": _Experiment(
+        {"params": {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.7},
+         "curve": {"kind": "constant", "level": 1.0},
+         "grid": {"T": 1.0, "n_steps": 2048},
+         "n_paths": 40_000,
+         "options": {"x_max": 8.0, "n_x": 401, "n_t": 256,
+                     "x0_list": [0.5, 1.0, 2.0]}},
+        _exp_pde_cross_check,
+        options={"x_max": _POSITIVE, "n_x": _number(200, integer=True),
+                 "n_t": _STEPS, "x0_list": _positive_list},
+        min_paths=2, relations=(_check_pde, _check_constant_barrier)),
+    "skew-occupation": _Experiment(
+        {"params": {"sigma": 2.0, "delta": 1.0, "b": 0.0, "p": 0.75},
+         "curve": {"kind": "constant", "level": 1.0},
+         "grid": {"T": 0.01, "n_steps": 128},
+         "n_paths": 100_000,
+         "x0": 1.0},
+        _exp_skew_occupation, relations=(_check_constant_barrier,)),
+    "dsr-demo": _Experiment(
+        {"params": {"sigma": 2.0, "delta": 2.0, "b": 0.0, "p": 0.5,
+                    "dsr_c": 1.0},
+         "curve": {"kind": "constant", "level": 0.0},
+         "grid": {"T": 1.0, "n_steps": 2048},
+         "n_paths": 50_000,
+         "x0": 1.0},
+        _exp_dsr_demo, min_paths=10, relations=(_check_dsr, _check_classical)),
+    "regime-check": _Experiment(
+        {"params": dict(_BASE_MODEL),
+         "curve": {"kind": "constant", "level": 1.0},
+         "grid": {"T": 1.0, "n_steps": 256},
+         "options": {"n_random_curves": 50}},
+        _exp_regime_check,
+        options={"n_random_curves": _number(0, integer=True)}),
 }
+
+EXPERIMENTS = list(_RECORDS)
 
 
 def run_experiment(config: dict, threads: int = 1) -> dict:
     """Run a named experiment; returns {"report": ..., "plot_data": ...}."""
     cfg, model = _prepare(config)
     start = time.perf_counter()
-    metrics, criteria, plot_data = _RUNNERS[cfg["experiment"]](cfg, model,
-                                                               threads)
+    metrics, criteria, plot_data = _RECORDS[cfg["experiment"]].run(
+        cfg, model, threads)
     runtime = time.perf_counter() - start
     import numpy
     import scipy

@@ -33,6 +33,7 @@ __all__ = [
     "validate_params",
     "decompose_curve",
     "drift_integrand",
+    "CURVE_KINDS",
     "builtin_curve",
     "curve_from_csv",
     "reference_density",
@@ -161,31 +162,38 @@ def decompose_curve(lambda_fn, lambda_deriv, T_max, quad_step=None) -> Curve:
                  beta_vals=beta, gamma_vals=gamma)
 
 
+# Each builtin curve kind: its parameters with their defaults, then lambda
+# and lambda' as functions of (t, *parameters in that order)
+CURVE_KINDS = {
+    "constant": ({"level": 1.0},
+                 lambda t, level: np.full_like(t, level),
+                 lambda t, level: np.zeros_like(t)),
+    "linear": ({"intercept": 1.0, "slope": 0.0},
+               lambda t, intercept, slope: intercept + slope * t,
+               lambda t, intercept, slope: np.full_like(t, slope)),
+    "exp-decay": ({"level": 1.0, "rate": 1.0},
+                  lambda t, level, rate: level * np.exp(-rate * t),
+                  lambda t, level, rate: -rate * level * np.exp(-rate * t)),
+    "sinusoidal": ({"level": 1.0, "amplitude": 0.5, "frequency": 1.0,
+                    "phase": 0.0},
+                   lambda t, level, amp, freq, phase:
+                       level + amp * np.sin(freq * t + phase),
+                   lambda t, level, amp, freq, phase:
+                       amp * freq * np.cos(freq * t + phase)),
+}
+
+
 def builtin_curve(name, T_max, quad_step=None, **kw) -> Curve:
-    """Named barrier families: constant, linear, exp-decay, sinusoidal."""
-    if name == "constant":
-        level = float(kw.get("level", 1.0))
-        fn = lambda t: np.full_like(np.asarray(t, dtype=float), level)
-        dfn = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    elif name == "linear":
-        intercept = float(kw.get("intercept", 1.0))
-        slope = float(kw.get("slope", 0.0))
-        fn = lambda t: intercept + slope * np.asarray(t, dtype=float)
-        dfn = lambda t: np.full_like(np.asarray(t, dtype=float), slope)
-    elif name == "exp-decay":
-        level = float(kw.get("level", 1.0))
-        rate = float(kw.get("rate", 1.0))
-        fn = lambda t: level * np.exp(-rate * np.asarray(t, dtype=float))
-        dfn = lambda t: -rate * level * np.exp(-rate * np.asarray(t, dtype=float))
-    elif name == "sinusoidal":
-        level = float(kw.get("level", 1.0))
-        amp = float(kw.get("amplitude", 0.5))
-        freq = float(kw.get("frequency", 1.0))
-        phase = float(kw.get("phase", 0.0))
-        fn = lambda t: level + amp * np.sin(freq * np.asarray(t, dtype=float) + phase)
-        dfn = lambda t: amp * freq * np.cos(freq * np.asarray(t, dtype=float) + phase)
-    else:
+    """The ``CURVE_KINDS`` barrier ``name``; unset parameters take defaults."""
+    if name not in CURVE_KINDS:
         raise ValueError(f"unknown builtin curve {name!r}")
+    defaults, lam, dlam = CURVE_KINDS[name]
+    unknown = sorted(set(kw) - set(defaults))
+    if unknown:
+        raise ValueError(f"builtin curve {name!r} has no parameter {unknown}")
+    args = [float(kw.get(key, value)) for key, value in defaults.items()]
+    fn = lambda t: lam(np.asarray(t, dtype=float), *args)
+    dfn = lambda t: dlam(np.asarray(t, dtype=float), *args)
     return decompose_curve(fn, dfn, T_max, quad_step)
 
 

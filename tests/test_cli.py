@@ -1,6 +1,8 @@
 """Command-line driver: exit codes, artifacts, reproducibility."""
 
+import copy
 import csv
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -31,8 +33,9 @@ from skewdiff.experiments import (
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
+    """Write ``cfg`` as JSON; a string is written as it stands."""
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(path)
 
 
@@ -42,6 +45,14 @@ SMALL_CIR = {
     "n_paths": 6000,
     "grid": {"T": 1.0, "n_steps": 256},
 }
+
+
+def _stub_cir_baseline(monkeypatch, runner):
+    """Make cir-baseline run ``runner(cfg, model, threads)`` in its place."""
+    record = dataclasses.replace(experiments._RECORDS["cir-baseline"],
+                                 run=runner)
+    monkeypatch.setitem(experiments._RECORDS, "cir-baseline", record)
+
 
 SMALL_STATIONARY = {
     "experiment": "stationary-skew",
@@ -269,8 +280,8 @@ class TestRun:
     def test_out_naming_a_file_exits_two_before_running(self, tmp_path,
                                                          monkeypatch):
         ran = []
-        monkeypatch.setitem(
-            experiments._RUNNERS, "cir-baseline",
+        _stub_cir_baseline(
+            monkeypatch,
             lambda cfg, model, threads: ran.append(1) or ({}, [], {}))
         cfg_path = _write_config(tmp_path, SMALL_CIR)
         out = tmp_path / "taken"
@@ -284,8 +295,8 @@ class TestRun:
 
     def test_failed_write_exits_three(self, tmp_path, monkeypatch):
         # report.json is taken by a directory
-        monkeypatch.setitem(
-            experiments._RUNNERS, "cir-baseline",
+        _stub_cir_baseline(
+            monkeypatch,
             lambda cfg, model, threads: ({"x": {"value": 1.0}}, [], {}))
         cfg_path = _write_config(tmp_path, SMALL_CIR)
         (tmp_path / "out" / "report.json").mkdir(parents=True)
@@ -302,8 +313,8 @@ class TestRun:
         # written before report.json, and what was written is removed
         plot = {"localtime": (["t", "upper", "lower", "symmetric"],
                               [(0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.5, 0.5)])}
-        monkeypatch.setitem(
-            experiments._RUNNERS, "cir-baseline",
+        _stub_cir_baseline(
+            monkeypatch,
             lambda cfg, model, threads: ({"x": {"value": 1.0}}, [], plot))
         cfg_path = _write_config(tmp_path, SMALL_CIR)
         out = tmp_path / "out"
@@ -417,6 +428,29 @@ class TestValidateAgreesWithRun:
         {"experiment": "skew-occupation", "seed": 0,
          "options": {"atol": 0.02}},
         {"experiment": "dsr-demo", "seed": 0, "options": {"fd_h": 0.1}},
+        # an integer field takes a JSON integer only (an integral float
+        # passed, then run exited 1 with a TypeError)
+        {"experiment": "besq-law", "seed": 0, "n_paths": 100.0},
+        {"experiment": "skew-occupation", "seed": 0, "n_paths": 100.0},
+        {"experiment": "localtime-ratios", "seed": 0, "n_paths": 4.0},
+        {"experiment": "regime-check", "seed": 3.0},
+        # numbers past the float range: json.load reads 1e400 as inf, which
+        # passed (then run exited 3, or 1 with a traceback), and a 400-digit
+        # integer overflowed float() in validate itself (exit 1)
+        pytest.param('{"experiment": "cir-baseline", "seed": 0, "x0": 1e400}',
+                     id="x0-1e400"),
+        pytest.param('{"experiment": "cir-baseline", "seed": 0, '
+                     '"params": {"sigma": 1e400}}', id="sigma-1e400"),
+        pytest.param('{"experiment": "pde-cross-check", "seed": 0, '
+                     '"n_paths": 100, "options": {"x_max": 1e400}}',
+                     id="x_max-1e400"),
+        {"experiment": "cir-baseline", "seed": 0, "grid": {"T": 10 ** 400}},
+        # a curve kind that is not a string (was a TypeError traceback)
+        {"experiment": "cir-baseline", "seed": 0, "curve": {"kind": [1]}},
+        # an integer past the interpreter's 4,300-digit limit for reading
+        # one (json.load raised ValueError: a traceback, exit 1)
+        pytest.param('{"experiment": "cir-baseline", "seed": '
+                     + "1" * 5000 + "}", id="seed-5000-digits"),
     ])
     def test_both_exit_two_without_traceback(self, tmp_path, monkeypatch,
                                              cfg):
@@ -440,6 +474,19 @@ class TestValidateAgreesWithRun:
                                 "curve": {"level": 0.5}})
         assert cfg["curve"] == {"kind": "constant", "level": 0.5}
 
+    @pytest.mark.parametrize("cfg", [
+        *(default_config(name, seed=1) for name in EXPERIMENTS),
+        {"experiment": "cir-baseline", "seed": 0, "n_paths": 10,
+         "curve": {"kind": "linear", "slope": 0.5},
+         "params": {"sigma": 1.0}, "grid": {"n_steps": 8}},
+    ])
+    def test_normalize_leaves_its_argument_unchanged(self, cfg):
+        # the benchmark normalises a config, then writes that same dict out
+        before = copy.deepcopy(cfg)
+        normalize_config(cfg)
+        assert cfg == before
+        assert repr(cfg) == repr(before)
+
     def test_non_finite_json_number_exits_two(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"experiment": "cir-baseline", "seed": 0, "x0": NaN}')
@@ -453,8 +500,8 @@ class TestFiniteReports:
                                                           monkeypatch):
         # a runner whose metric comes out NaN (no valid config is known to
         # produce one)
-        monkeypatch.setitem(
-            experiments._RUNNERS, "cir-baseline",
+        _stub_cir_baseline(
+            monkeypatch,
             lambda cfg, model, threads: ({"x": {"value": math.nan}}, [], {}))
         cfg_path = _write_config(tmp_path, SMALL_CIR)
         out = tmp_path / "out"
@@ -469,8 +516,8 @@ class TestFiniteReports:
                                                               monkeypatch):
         plot = {"localtime": (["t", "upper", "lower", "symmetric"],
                               [(0.0, 0.0, 0.0, 0.0), (1.0, math.nan, 0.0, 0.0)])}
-        monkeypatch.setitem(
-            experiments._RUNNERS, "cir-baseline",
+        _stub_cir_baseline(
+            monkeypatch,
             lambda cfg, model, threads: ({"x": {"value": 1.0}}, [], plot))
         cfg_path = _write_config(tmp_path, SMALL_CIR)
         out = tmp_path / "out"
@@ -724,9 +771,10 @@ class TestExports:
                 assert hasattr(mod, name), (info.name, name)
 
 
-# scipy subpackages only the oracles that use them import, in their bodies
+# scipy subpackages only the oracles that use them import, in their bodies,
+# and jsonschema, which nothing imports
 _DEFERRED = ("scipy.stats", "scipy.optimize", "scipy.integrate",
-             "scipy.sparse")
+             "scipy.sparse", "jsonschema")
 
 _LOADED = """
 import json, sys
@@ -736,7 +784,7 @@ print(json.dumps(sorted(m for m in sys.modules
 
 
 def _deferred_loaded_after(code: str) -> list[str]:
-    """Deferred scipy modules a fresh interpreter holds after ``code``."""
+    """Modules of ``_DEFERRED`` a fresh interpreter holds after ``code``."""
     import skewdiff
 
     env = {**os.environ, "PYTHONPATH": os.path.dirname(
@@ -748,7 +796,7 @@ def _deferred_loaded_after(code: str) -> list[str]:
 
 
 def _deferred_loaded_by_run(tmp_path, cfg) -> set[str]:
-    """Deferred scipy subpackages a fresh ``skewdiff run`` of ``cfg`` loads.
+    """Packages of ``_DEFERRED`` a fresh ``skewdiff run`` of ``cfg`` loads.
 
     The run must write its report and exit by the contract: 0 when the
     report passed, 1 when a criterion failed.  Whether the science gates

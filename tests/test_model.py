@@ -94,6 +94,11 @@ class TestDecomposeCurve:
         with pytest.raises(NegativeCurve):
             builtin_curve("linear", 2.0, intercept=1.0, slope=-1.0)
 
+    def test_unknown_parameter_rejected(self):
+        # a misspelt parameter used to be dropped, leaving slope 0
+        with pytest.raises(ValueError, match="'slop'"):
+            builtin_curve("linear", 1.0, slop=0.5)
+
     def test_random_curves_decomposition_consistency(self):
         # beta + gamma reproduces lambda; beta down, gamma up
         rng = np.random.default_rng(7)
