@@ -119,9 +119,9 @@ def noncentral_chisq_cdf(dof: float, noncentrality: float, x):
 def cir_terminal_cdf(params: ModelParams, z0: float, t: float):
     """CDF of the exact classical transition (b > 0) as a callable.
 
-    No experiment calls it.  It is kept as the b > 0 oracle of the tests,
-    which check it, and through it ``noncentral_chisq_cdf`` at a nonzero
-    noncentrality and scaled argument, against ``scipy.stats.ncx2``.
+    No experiment calls it.  It is the b > 0 oracle of the tests: they check
+    the PDE at p = 1/2 against it, and it, with ``noncentral_chisq_cdf`` at a
+    nonzero noncentrality and scaled argument, against ``scipy.stats.ncx2``.
     """
     kappa = params.sigma ** 2 * params.b / 4.0
     decay = math.exp(-kappa * t)

@@ -272,6 +272,12 @@ def _check_pde(cfg, params, curve, grid):
                             "barrier must lie below 0.8 * x_max")
 
 
+def _check_refines(cfg, params, curve, grid):
+    if not cfg["options"]["coarse_n_steps"] < grid.n_steps:
+        raise ConfigInvalid("config error at options/coarse_n_steps: it "
+                            f"must lie below n_steps = {grid.n_steps}")
+
+
 # dsr-demo's central difference step in T
 _DSR_FD_H = 0.1
 
@@ -736,6 +742,17 @@ class _Experiment:
 
 _BASE_MODEL = {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.75, "dsr_c": None}
 
+# localtime-ratios and relloc-identity: one setup, run on a fine grid and
+# on a coarse one
+_TWO_GRIDS = dict(
+    defaults={"params": dict(_BASE_MODEL),
+              "curve": {"kind": "constant", "level": 1.0},
+              "grid": {"T": 2.0, "n_steps": 2 * 2 ** 14},
+              "n_paths": 200,
+              "x0": 1.0,
+              "options": {"coarse_n_steps": 2 * 2 ** 12}},
+    options={"coarse_n_steps": _STEPS}, relations=(_check_refines,))
+
 _RECORDS = {
     "cir-baseline": _Experiment(
         {"params": {"sigma": 2.0, "delta": 3.0, "b": 1.0, "p": 0.5},
@@ -760,22 +777,8 @@ _RECORDS = {
         _exp_stationary_skew,
         options={"burn_frac": _number(0, below=1), "thin": _STEPS},
         relations=(_check_stationary, _check_constant_barrier)),
-    "localtime-ratios": _Experiment(
-        {"params": dict(_BASE_MODEL),
-         "curve": {"kind": "constant", "level": 1.0},
-         "grid": {"T": 2.0, "n_steps": 2 * 2 ** 14},
-         "n_paths": 200,
-         "x0": 1.0,
-         "options": {"coarse_n_steps": 2 * 2 ** 12}},
-        _exp_localtime_ratios, options={"coarse_n_steps": _STEPS}),
-    "relloc-identity": _Experiment(
-        {"params": dict(_BASE_MODEL),
-         "curve": {"kind": "constant", "level": 1.0},
-         "grid": {"T": 2.0, "n_steps": 2 * 2 ** 14},
-         "n_paths": 200,
-         "x0": 1.0,
-         "options": {"coarse_n_steps": 2 * 2 ** 12}},
-        _exp_relloc_identity, options={"coarse_n_steps": _STEPS}),
+    "localtime-ratios": _Experiment(run=_exp_localtime_ratios, **_TWO_GRIDS),
+    "relloc-identity": _Experiment(run=_exp_relloc_identity, **_TWO_GRIDS),
     "girsanov-consistency": _Experiment(
         {"params": {"sigma": 2.0, "delta": 2.0, "b": 1.0, "p": 0.7},
          "curve": {"kind": "linear", "intercept": 1.0, "slope": 0.1},

@@ -37,8 +37,6 @@ class LocalTimeEstimate:
     upper: np.ndarray | None
     lower: np.ndarray | None
     symmetric: np.ndarray
-    eps: float
-    method: str  # "occupation" or "tanaka_residual"
 
 
 def _barrier_on_grid(path: Path, barrier) -> np.ndarray:
@@ -88,8 +86,7 @@ def occupation_estimate(path: Path, barrier, eps: float) -> LocalTimeEstimate:
     up, lo = occupation_rows(path.values, kappa[:-1], path.params.sigma,
                              path.grid.dt, eps)
     return LocalTimeEstimate(times=path.grid.times(), upper=up, lower=lo,
-                             symmetric=(up + lo) / 2.0, eps=eps,
-                             method="occupation")
+                             symmetric=(up + lo) / 2.0)
 
 
 def default_band(path: Path | PathBatch) -> float:
@@ -117,7 +114,7 @@ def tanaka_residual(path: Path, barrier) -> LocalTimeEstimate:
     integral = np.concatenate([zero, np.cumsum(signs * increments)])
     sym = np.abs(diff) - abs(diff[0]) - integral
     return LocalTimeEstimate(times=path.grid.times(), upper=None, lower=None,
-                             symmetric=sym, eps=0.0, method="tanaka_residual")
+                             symmetric=sym)
 
 
 @dataclass

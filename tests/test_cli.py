@@ -123,14 +123,12 @@ class TestRun:
         assert "mean_estimate" in report["metrics"]
 
     def test_unmet_criteria_exit_one(self, tmp_path):
-        # coarse and fine grids are the same grid, so both runs draw the
-        # same streams and the strict-decrease gate cannot pass
+        # one Euler step misses the ODE mean by 0.348, against 3 SE = 0.061
         cfg = {
-            "experiment": "localtime-ratios",
+            "experiment": "cir-baseline",
             "seed": 1,
-            "n_paths": 4,
-            "grid": {"T": 0.5, "n_steps": 64},
-            "options": {"coarse_n_steps": 64},
+            "n_paths": 20_000,
+            "grid": {"T": 1.0, "n_steps": 1},
         }
         cfg_path = _write_config(tmp_path, cfg)
         out = tmp_path / "out"
@@ -447,6 +445,14 @@ class TestValidateAgreesWithRun:
         {"experiment": "cir-baseline", "seed": 0, "grid": {"T": 10 ** 400}},
         # a curve kind that is not a string (was a TypeError traceback)
         {"experiment": "cir-baseline", "seed": 0, "curve": {"kind": [1]}},
+        # a coarse grid that is the fine grid, so the strict-decrease gate
+        # compares a run with itself (was ok, then exit 1)
+        {"experiment": "localtime-ratios", "seed": 0, "n_paths": 8,
+         "grid": {"T": 2.0, "n_steps": 1024},
+         "options": {"coarse_n_steps": 1024}},
+        {"experiment": "relloc-identity", "seed": 0, "n_paths": 8,
+         "grid": {"T": 2.0, "n_steps": 1024},
+         "options": {"coarse_n_steps": 1024}},
         # an integer past the interpreter's 4,300-digit limit for reading
         # one (json.load raised ValueError: a traceback, exit 1)
         pytest.param('{"experiment": "cir-baseline", "seed": '

@@ -5,10 +5,12 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.sparse import csr_matrix, lil_matrix
 
 import skewdiff.experiments as experiments
 import skewdiff.pde as pde
+from skewdiff.analytics import cir_terminal_cdf
 from skewdiff.errors import GridTooCoarse
 from skewdiff.model import builtin_curve, validate_params
 from skewdiff.paths import exact_cir_step
@@ -39,13 +41,10 @@ def _lil_matrices(params, x, m_iface, theta, dt):
         B[i, i - 1] = (1.0 - theta) * dt * lo
         B[i, i] = 1.0 + (1.0 - theta) * dt * d
         B[i, i + 1] = (1.0 - theta) * dt * hi
-    if params.delta >= 2.0:
-        c0 = sig2 / 4.0 * params.delta / dx
-        A[0, 0], A[0, 1] = 1.0 + theta * dt * c0, -theta * dt * c0
-        B[0, 0] = 1.0 - (1.0 - theta) * dt * c0
-        B[0, 1] = (1.0 - theta) * dt * c0
-    else:
-        A[0, 0], A[0, 1], A[0, 2] = 3.0, -4.0, 1.0
+    c0 = sig2 / 4.0 * params.delta / dx
+    A[0, 0], A[0, 1] = 1.0 + theta * dt * c0, -theta * dt * c0
+    B[0, 0] = 1.0 - (1.0 - theta) * dt * c0
+    B[0, 1] = (1.0 - theta) * dt * c0
     A[n - 1, n - 1], A[n - 1, n - 2], A[n - 1, n - 3] = 1.0, -2.0, 1.0
     if m_iface is not None:
         i, p = m_iface, params.p
@@ -117,12 +116,26 @@ class TestSolveBackward:
                                        GRID).at(1.0))
         assert vals[0] < vals[1] < vals[2]
 
-    def test_refinement_factor(self):
+    @pytest.mark.parametrize("delta", [1.0, 1.5, 2.0])
+    def test_refinement_factor(self, delta):
+        params = validate_params(2.0, delta, 1.0, 0.7)
         g1, g2, g3 = GRID, GRID.refined(), GRID.refined().refined()
-        u = [solve_backward(PARAMS_SKEW, BARRIER_ONE, PAYOFF_CAP, 1.0, g).at(1.0)
+        u = [solve_backward(params, BARRIER_ONE, PAYOFF_CAP, 1.0, g).at(1.0)
              for g in (g1, g2, g3)]
         factor = abs(u[2] - u[1]) / abs(u[1] - u[0])
         assert factor <= 0.35
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_exact_law(self, delta):
+        # at p = 1/2 the law of R_T is noncentral chi-squared for every
+        # delta, and E[min(R_T, 2)] is the integral of P(R_T > x) over [0, 2]
+        params = validate_params(2.0, delta, 1.0, 0.5)
+        sol = solve_backward(params, BARRIER_ONE, PAYOFF_CAP, 1.0,
+                             PdeGrid(x_max=16.0, n_x=401, n_t=256))
+        for x0 in (0.05, 1.0, 2.0):
+            cdf = cir_terminal_cdf(params, x0, 1.0)
+            exact, _ = integrate.quad(lambda x: 1.0 - cdf(x), 0.0, 2.0)
+            assert abs(sol.at(x0) - exact) <= 5e-4, x0
 
     def test_barrier_too_close_to_truncation(self):
         with pytest.raises(ValueError):
@@ -131,12 +144,11 @@ class TestSolveBackward:
     # sha256 of u.tobytes() from the per-step spsolve solver with lil
     # assembly; the factor-once solver must reproduce every bit
     @pytest.mark.parametrize("delta, p, barrier, digest", [
-        # natural x = 0 row
         (2.0, 0.7, lambda t: 1.0, "d39a7a38e9a9fbc66bec27db155cf53a"
                                   "ee8783d28172aca6af57ea25f22f2204"),
-        # reflecting x = 0 row
-        (1.5, 0.3, lambda t: 1.0, "4b3494cc122b23b37c53e15b5e09ddb5"
-                                  "b73e900886da21390579ba6e9de0c1ce"),
+        # delta < 2, on the x = 0 row that test_matches_exact_law checks
+        (1.5, 0.3, lambda t: 1.0, "426f7946907554b7c122e3b760fbb78b"
+                                  "7168d12c15a46a40709197df48129ea9"),
         # no interface row
         (2.0, 0.5, lambda t: 1.0, "4b6fce1bfc6bf067fdcba43409cb04f9"
                                   "b2724095b2ea2c629f2fd8505c9a8b1a"),
